@@ -13,7 +13,7 @@ import dataclasses
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -133,6 +133,16 @@ class BaseSummarizer(ABC):
     ) -> MergeStats:
         """Run the merge loop on one group (mutating ``partition``)."""
 
+    def merge_context(
+        self,
+        graph: Graph,
+        partition: SupernodePartition,
+        groups: List[List[int]],
+    ) -> Dict[str, Any]:
+        """Keyword arguments shared by one iteration's ``merge_one_group``
+        calls, built against the iteration-start partition (none here)."""
+        return {}
+
     # ------------------------------------------------------------------
     # shared driver
     # ------------------------------------------------------------------
@@ -160,9 +170,10 @@ class BaseSummarizer(ABC):
         with obs_trace.span(
             "group_batch", key=0, groups=len(groups)
         ) as batch_span:
+            context = self.merge_context(graph, partition, groups)
             for group in groups:
                 merge_stats += self.merge_one_group(
-                    graph, partition, group, threshold, rng
+                    graph, partition, group, threshold, rng, **context
                 )
             batch_span.set_attribute("merges", merge_stats.merges)
             batch_span.set_attribute(

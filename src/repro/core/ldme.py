@@ -7,11 +7,12 @@ the paper's named settings are LDME5 (``k=5``) and LDME20 (``k=20``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..graph.graph import Graph
+from ..kernels import wtable
 from .base import BaseSummarizer
 from .config import LDMEConfig
 from .divide import DivideStats, lsh_divide
@@ -112,6 +113,24 @@ class LDME(BaseSummarizer):
             kernels=self.kernels, chunk_rows=self.doph_chunk_rows,
         )
 
+    def merge_context(
+        self,
+        graph: Graph,
+        partition: SupernodePartition,
+        groups: List[List[int]],
+    ) -> Dict[str, Any]:
+        """One ``W`` table over every mergeable group of the iteration.
+
+        Exact policy with the numpy backend only; each group slices its
+        rows from the table when its merge loop starts.
+        """
+        if self.merge_policy != "exact" or self.kernels != "numpy":
+            return {}
+        mergeable = [group for group in groups if len(group) >= 2]
+        if not mergeable:
+            return {}
+        return {"table": wtable.build_w_table(graph, partition, mergeable)}
+
     def merge_one_group(
         self,
         graph: Graph,
@@ -119,19 +138,22 @@ class LDME(BaseSummarizer):
         group: List[int],
         threshold: float,
         rng: np.random.Generator,
+        table: Optional[wtable.WTable] = None,
     ) -> MergeStats:
         """Merge loop over the group.
 
         The default policy computes exact Saving through the group's ``W``
-        structure (the paper's contribution #2); ``merge_policy=
+        structure (the paper's contribution #2), read from the iteration's
+        ``table`` when :meth:`merge_context` built one; ``merge_policy=
         "superjaccard"`` swaps in SWeG's approximation for ablations.
         """
-        merge_fn = (
-            merge_group_exact
-            if self.merge_policy == "exact"
-            else merge_group_superjaccard
-        )
-        return merge_fn(
+        if self.merge_policy == "exact":
+            return merge_group_exact(
+                graph, partition, group, threshold, rng,
+                cost_model=self.cost_model, kernels=self.kernels,
+                table=table,
+            )
+        return merge_group_superjaccard(
             graph, partition, group, threshold, rng,
             cost_model=self.cost_model, kernels=self.kernels,
         )

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..graph.graph import Graph
+from ..kernels import wtable
 from ..lsh.weighted import weighted_jaccard
 from .partition import SupernodePartition
 from .saving import GroupAdjacency
@@ -26,6 +27,7 @@ __all__ = [
     "MergeStats",
     "merge_group_exact",
     "merge_group_superjaccard",
+    "pick_schedule",
     "super_jaccard",
 ]
 
@@ -58,6 +60,18 @@ def _rng(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def pick_schedule(rng: np.random.Generator, n: int) -> List[int]:
+    """The merge loop's ``n`` random picks, drawn in one call.
+
+    The loop removes one supernode per step, so step ``i`` picks from
+    ``n - i`` entries. ``rng.integers(np.arange(n, 0, -1))`` yields the
+    same values and leaves the generator in the same state as the ``n``
+    scalar draws ``rng.integers(n), rng.integers(n - 1), ...``
+    (``tests/core/test_merge.py`` pins this for the installed numpy).
+    """
+    return rng.integers(np.arange(n, 0, -1)).tolist()
+
+
 def merge_group_exact(
     graph: Graph,
     partition: SupernodePartition,
@@ -66,24 +80,26 @@ def merge_group_exact(
     seed: SeedLike = None,
     cost_model: str = "exact",
     kernels: str = "python",
+    table: Optional[wtable.WTable] = None,
 ) -> MergeStats:
     """LDME merge loop: candidates scored by exact Saving via ``W``.
 
     Mutates ``partition`` in place and returns merge statistics.
     ``kernels`` picks the ``W``-construction backend (see
     :class:`~repro.core.saving.GroupAdjacency`); the merge decisions are
-    identical under either backend.
+    identical under either backend. ``table`` is an iteration-wide ``W``
+    table holding this group's rows (numpy backend only).
     """
     rng = _rng(seed)
     stats = MergeStats()
     if len(group) < 2:
         return stats
     adjacency = GroupAdjacency(
-        graph, partition, group, cost_model=cost_model, kernels=kernels
+        graph, partition, group, cost_model=cost_model, kernels=kernels,
+        table=table,
     )
     temp = list(group)
-    while temp:
-        pick = int(rng.integers(len(temp)))
+    for pick in pick_schedule(rng, len(temp)):
         temp[pick], temp[-1] = temp[-1], temp[pick]
         a = temp.pop()
         if not temp:
@@ -136,8 +152,7 @@ def merge_group_superjaccard(
         sid: partition.supervector(graph, sid) for sid in group
     }
     temp = list(group)
-    while temp:
-        pick = int(rng.integers(len(temp)))
+    for pick in pick_schedule(rng, len(temp)):
         temp[pick], temp[-1] = temp[-1], temp[pick]
         a = temp.pop()
         if not temp:

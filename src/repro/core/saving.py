@@ -8,7 +8,7 @@ every pairwise edge count is an O(1) lookup and ``Saving`` costs only
 ``O(|W_A| + |W_B|)`` — supernode-level work, independent of |V|.
 
 ``GroupAdjacency`` owns ``W`` for one group, computes Saving/Cost under a
-pluggable cost model, and applies the paper's post-merge update rules
+pluggable cost model through one loop, and applies the paper's post-merge update rules
 (fold the smaller side's table into the larger, fix reverse entries).
 Internal edges ``E_AA`` are stored under the self key ``W[A][A]``.
 """
@@ -18,10 +18,34 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..graph.graph import Graph
+from ..kernels import wtable
 from .cost import get_cost_model
 from .partition import SupernodePartition
 
 __all__ = ["GroupAdjacency", "saving_of_pair", "supernode_cost"]
+
+
+class _Sizes(dict):
+    """``sid -> |A|``, read through from the partition on first use.
+
+    Works for any partition with a ``size`` method, including the
+    multiprocess planner's snapshot view. Only in-group supernodes change
+    size while a group is merged; :meth:`GroupAdjacency.apply_merge`
+    drops their entries.
+    """
+
+    __slots__ = ("_size",)
+
+    def __init__(self, partition) -> None:
+        super().__init__()
+        self._size = partition.size
+
+    def __missing__(self, sid: int) -> int:
+        size = self[sid] = self._size(sid)
+        return size
+
+
+_NO_ROW: Dict[int, int] = {}
 
 
 class GroupAdjacency:
@@ -32,7 +56,7 @@ class GroupAdjacency:
     graph:
         The original graph (edge counts are always against ``E``).
     partition:
-        Current supernode partition; sizes are read live from it.
+        Current supernode partition; sizes are read from it.
     group_ids:
         Supernode ids forming this merge group; only these get first-level
         entries, but second-level keys may reference any adjacent supernode.
@@ -41,8 +65,12 @@ class GroupAdjacency:
     kernels:
         ``"python"`` builds ``W`` with the reference dict loop; ``"numpy"``
         uses the vectorized kernel (:func:`repro.kernels.wtable.
-        build_group_w`). The tables are equal either way — the differential
+        build_w_table`). The tables are equal either way — the differential
         suite under ``tests/kernels/`` machine-checks it.
+    table:
+        An iteration-wide :class:`~repro.kernels.wtable.WTable` holding
+        this group's rows (``kernels="numpy"`` only); without one, a
+        one-group table is built.
     """
 
     def __init__(
@@ -52,14 +80,17 @@ class GroupAdjacency:
         group_ids: Iterable[int],
         cost_model: str = "exact",
         kernels: str = "python",
+        table: Optional[wtable.WTable] = None,
     ) -> None:
-        self._partition = partition
-        self._pair_cost, self._loop_cost = get_cost_model(cost_model)
+        get_cost_model(cost_model)  # validates the name
+        self._paper = cost_model == "paper"
+        self._sizes = _Sizes(partition)
         self._cost_cache: Dict[int, float] = {}
+        group_ids = list(group_ids)
         if kernels == "numpy":
-            from ..kernels.wtable import build_group_w
-
-            self.w = build_group_w(graph, partition, group_ids)
+            if table is None:
+                table = wtable.build_w_table(graph, partition, [group_ids])
+            self.w = table.group_w(partition, group_ids)
             return
         if kernels != "python":
             raise ValueError("kernels must be 'python' or 'numpy'")
@@ -82,6 +113,52 @@ class GroupAdjacency:
         """|E_AC| (or |E_AA| internal count when ``a == c``)."""
         return self.w[a].get(c, 0)
 
+    def _cost_of(self, a: int, b: Optional[int] = None) -> float:
+        """``Cost(A, S)``, or ``Cost(A ∪ B, ...)`` when ``b`` is given.
+
+        The one Saving loop. Both cost models are the same arithmetic with
+        different coefficients (values as in :mod:`repro.core.cost`;
+        every term is an integer or half-integer, so sums are exact):
+
+        * pair ``(X, C)``: ``min(e, base + scale·|C| − back·e)`` —
+          exact ``min(e, 1 + |X||C| − e)``, paper ``min(e, |X|(|C|−1)/2)``;
+        * superloop: ``min(i, pairs − back·i)`` with ``pairs =
+          |X|(|X|−1)/2``.
+        """
+        sizes = self._sizes
+        w_a = self.w[a]
+        if b is None:
+            w_b = _NO_ROW
+            n = sizes[a]
+            internal = w_a.get(a, 0)
+        else:
+            w_b = self.w[b]
+            n = sizes[a] + sizes[b]
+            internal = w_a.get(a, 0) + w_b.get(b, 0) + w_a.get(b, 0)
+        if self._paper:
+            pairs = n * (n - 1) / 2.0
+            scale = n / 2.0
+            base, back = -scale, 0
+        else:
+            pairs = n * (n - 1) // 2
+            base, scale, back = 1, n, 1
+        total = 0.0
+        if internal:
+            total += min(internal, pairs - back * internal)
+        for c, e in w_a.items():
+            if c == a or c == b:
+                continue
+            if c in w_b:
+                e += w_b[c]
+            x = base + scale * sizes[c] - back * e
+            total += x if x < e else e
+        for c, e in w_b.items():
+            if c == a or c == b or c in w_a:
+                continue
+            x = base + scale * sizes[c] - back * e
+            total += x if x < e else e
+        return total
+
     def cost(self, sid: int) -> float:
         """``Cost(A, S)``: A's contribution to the objective.
 
@@ -89,36 +166,13 @@ class GroupAdjacency:
         supernodes whose pair terms it touched (see :meth:`apply_merge`).
         """
         cached = self._cost_cache.get(sid)
-        if cached is not None:
-            return cached
-        size_a = self._partition.size(sid)
-        total = 0.0
-        for c, edges in self.w[sid].items():
-            if c == sid:
-                total += self._loop_cost(size_a, edges)
-            else:
-                total += self._pair_cost(size_a, self._partition.size(c), edges)
-        self._cost_cache[sid] = total
-        return total
+        if cached is None:
+            cached = self._cost_cache[sid] = self._cost_of(sid)
+        return cached
 
     def merged_cost(self, a: int, b: int) -> float:
         """``Cost(A ∪ B, ...)``: cost of the hypothetical merged supernode."""
-        part = self._partition
-        size_ab = part.size(a) + part.size(b)
-        w_a, w_b = self.w[a], self.w[b]
-        internal = w_a.get(a, 0) + w_b.get(b, 0) + w_a.get(b, 0)
-        total = self._loop_cost(size_ab, internal) if internal else 0.0
-        for c, edges in w_a.items():
-            if c in (a, b):
-                continue
-            if c in w_b:
-                edges = edges + w_b[c]
-            total += self._pair_cost(size_ab, part.size(c), edges)
-        for c, edges in w_b.items():
-            if c in (a, b) or c in w_a:
-                continue
-            total += self._pair_cost(size_ab, part.size(c), edges)
-        return total
+        return self._cost_of(a, b)
 
     def saving(self, a: int, b: int) -> float:
         """``Saving(A, B, S)`` — Algorithm 4 under the chosen cost model.
@@ -129,18 +183,21 @@ class GroupAdjacency:
         separate = self.cost(a) + self.cost(b)
         if separate == 0:
             return 0.0
-        return 1.0 - self.merged_cost(a, b) / separate
+        return 1.0 - self._cost_of(a, b) / separate
 
     def best_candidate(
         self, a: int, candidates: Iterable[int]
     ) -> Tuple[Optional[int], float]:
         """The candidate with maximal Saving against ``a`` (ties: first)."""
+        cost, merged = self.cost, self._cost_of
+        cost_a = cost(a)
         best: Optional[int] = None
         best_saving = float("-inf")
         for b in candidates:
             if b == a:
                 continue
-            s = self.saving(a, b)
+            separate = cost_a + cost(b)
+            s = 1.0 - merged(a, b) / separate if separate else 0.0
             if s > best_saving:
                 best, best_saving = b, s
         if best is None:
@@ -158,13 +215,19 @@ class GroupAdjacency:
         """
         w_s = self.w[survivor]
         w_x = self.w.pop(absorbed)
+        neighbours = set(w_x).union(w_s)
+        neighbours.discard(survivor)
+        neighbours.discard(absorbed)
         # Invalidate cached costs touched by this merge: the survivor, the
         # absorbed supernode, and everything adjacent to either (their pair
         # terms reference the merged sizes/counts).
-        self._cost_cache.pop(survivor, None)
-        self._cost_cache.pop(absorbed, None)
-        for c in set(w_x) | set(w_s):
-            self._cost_cache.pop(c, None)
+        cache = self._cost_cache
+        cache.pop(survivor, None)
+        cache.pop(absorbed, None)
+        for c in neighbours:
+            cache.pop(c, None)
+        self._sizes.pop(survivor, None)
+        self._sizes.pop(absorbed, None)
         internal = (
             w_s.get(survivor, 0) + w_x.get(absorbed, 0) + w_s.pop(absorbed, 0)
         )
@@ -175,9 +238,7 @@ class GroupAdjacency:
         for c, edges in w_x.items():
             w_s[c] = w_s.get(c, 0) + edges
         # Rule (2): fix reverse entries of in-group neighbours of either side.
-        for c in set(w_x) | set(w_s):
-            if c in (survivor, absorbed):
-                continue
+        for c in neighbours:
             w_c = self.w.get(c)
             if w_c is None:
                 continue  # neighbour outside this group: no first-level entry

@@ -5,9 +5,9 @@ DOPH divide (Algorithm 2/3), exact ``Saving`` over the ``W`` hashtable
 (Algorithm 4) and the sort-based encode (Algorithm 5). This package holds
 NumPy/CSR implementations of those hot paths:
 
-* :mod:`repro.kernels.wtable` — group-local ``W`` construction as one CSR
-  gather + key aggregation (replaces the per-node dict loop in
-  :class:`repro.core.saving.GroupAdjacency`).
+* :mod:`repro.kernels.wtable` — ``W`` construction for every mergeable
+  group of an iteration as one CSR gather + key aggregation (replaces the
+  per-node dict loop in :class:`repro.core.saving.GroupAdjacency`).
 * :mod:`repro.kernels.doph` — bulk DOPH signatures: batched bin-minimum
   scatter plus vectorized rotation/optimal densification, and the per-node
   scalar loop kept as the differential-testing reference.
@@ -31,7 +31,8 @@ from __future__ import annotations
 __all__ = [
     "KERNEL_BACKENDS",
     "resolve_backend",
-    "build_group_w",
+    "WTable",
+    "build_w_table",
     "doph_signatures_bulk_numpy",
     "doph_signatures_bulk_python",
     "encode_sorted_numpy",
@@ -64,4 +65,4 @@ from .shm import (  # noqa: E402
     SharedGraphArena,
     shared_memory_available,
 )
-from .wtable import build_group_w  # noqa: E402
+from .wtable import WTable, build_w_table  # noqa: E402

@@ -1,34 +1,37 @@
-"""Vectorized group-local ``W`` construction (Algorithm 4's hashtable).
+"""Vectorized ``W`` construction (Algorithm 4's hashtable).
 
 The reference implementation (:class:`repro.core.saving.GroupAdjacency`
 with ``kernels="python"``) walks every member node's CSR row in Python and
-increments a dict per neighbouring supernode. This kernel does the same
-work in four array passes:
+increments a dict per neighbouring supernode. :func:`build_w_table` does
+the same work for *many* groups at once, in three array passes:
 
 1. gather all member rows out of the CSR in one shot (repeat/arange
    slicing — no per-node ``tolist`` round-trips),
 2. map the gathered neighbour ids to supernode ids with one fancy-index,
-3. aggregate ``(group row, neighbour supernode)`` keys with ``np.unique``
-   (equivalent to a ``bincount`` over factorized keys),
-4. materialize the per-supernode dicts from the aggregated runs.
+3. aggregate ``(row supernode, neighbour supernode)`` keys with one
+   ``np.unique`` (equivalent to a ``bincount`` over factorized keys).
 
-Step 4 is the only Python loop left and it runs over *distinct* ``W``
-entries — supernode-level work, not edge-level work. The resulting tables
-are **equal as dicts** to the reference (the internal self-entry is halved
-and re-inserted exactly like the reference does), so the merge loop's
-post-merge fold update (:meth:`GroupAdjacency.apply_merge`) is shared
+Serial LDME builds one table per iteration over every
+mergeable group; each group then materializes its rows as dicts with
+:meth:`WTable.group_w` when its merge loop starts. Callers without a
+table (multiprocess workers, the SuperJaccard policy, RANDOMIZED,
+``saving_of_pair``) build a one-group table, so there is a single numpy
+``W`` path. The dict rows are **equal** to the reference (the internal
+self-entry is halved and re-inserted exactly like the reference does), so
+the post-merge fold update (:meth:`GroupAdjacency.apply_merge`) is shared
 unchanged between backends.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from itertools import chain
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from ..obs import profile
 
-__all__ = ["build_group_w", "gather_rows"]
+__all__ = ["WTable", "build_w_table", "gather_rows"]
 
 
 def gather_rows(
@@ -53,59 +56,103 @@ def gather_rows(
     return indices[gather], lengths
 
 
-@profile.profiled("wtable")
-def build_group_w(
-    graph,
-    partition,
-    group_ids: Iterable[int],
-) -> Dict[int, Dict[int, int]]:
-    """Build the ``W`` hashtable-of-hashtables for one merge group.
+class WTable:
+    """Aggregated ``W`` rows of several disjoint merge groups.
 
-    Bit-identical to the pure-Python construction in
-    :class:`repro.core.saving.GroupAdjacency`: ``W[A][C]`` counts original
-    edges between supernodes A and C, internal edges land under the self
-    key ``W[A][A]`` halved (each internal undirected edge is seen from both
-    endpoints). ``partition`` only needs ``members(sid)`` and
-    ``node2super`` — snapshot partitions used by the multiprocess planner
-    work too.
+    Built against one partition state; ``cols[bounds[r]:bounds[r+1]]``
+    holds the sorted neighbour-supernode ids of row ``r`` (the ``r``-th
+    supernode of the concatenated groups) and ``counts`` the matching
+    edge counts, internal edges still counted from both endpoints.
     """
-    sids: List[int] = [int(s) for s in group_ids]
-    w: Dict[int, Dict[int, int]] = {}
-    if not sids:
+
+    def __init__(
+        self, sids: List[int], bounds: List[int],
+        cols: np.ndarray, counts: np.ndarray,
+    ) -> None:
+        self._sids = sids
+        self._row = {sid: r for r, sid in enumerate(sids)}
+        self._bounds = bounds
+        self._cols = cols
+        self._counts = counts
+
+    def group_w(
+        self, partition, group_ids: Sequence[int]
+    ) -> Dict[int, Dict[int, int]]:
+        """Materialize one group's ``W`` rows against ``partition`` now.
+
+        ``group_ids`` must be one of the groups the table was built from,
+        in the same order. Columns that a merge since the build has
+        absorbed are re-keyed to ``node2super[c]`` and their counts
+        summed: a supernode id is always one of its own members, so
+        ``node2super[c]`` is the supernode that absorbed ``c``. Rows of
+        this group are never stale, because merges stay inside a group.
+        """
+        if not group_ids:
+            return {}
+        first = self._row[group_ids[0]]
+        last = first + len(group_ids)
+        sids = self._sids
+        if sids[first:last] != list(group_ids):
+            raise ValueError("group_ids is not a group of this table")
+        bounds = self._bounds
+        lo, hi = bounds[first], bounds[last]
+        stored = self._cols[lo:hi]
+        cols = partition.node2super[stored].tolist()
+        rekey = cols != stored.tolist()
+        counts = self._counts[lo:hi].tolist()
+        w: Dict[int, Dict[int, int]] = {}
+        for r in range(first, last):
+            a, b = bounds[r] - lo, bounds[r + 1] - lo
+            if rekey:
+                row: Dict[int, int] = {}
+                for c, n in zip(cols[a:b], counts[a:b]):
+                    row[c] = row.get(c, 0) + n
+            else:
+                row = dict(zip(cols[a:b], counts[a:b]))
+            sid = sids[r]
+            internal = row.pop(sid, 0)
+            if internal:
+                # Each internal undirected edge was seen from both endpoints.
+                row[sid] = internal // 2
+            w[sid] = row
         return w
+
+
+@profile.profiled("wtable")
+def build_w_table(
+    graph, partition, groups: Iterable[Sequence[int]]
+) -> WTable:
+    """One CSR gather and one ``np.unique`` over every group's rows.
+
+    ``W[A][C]`` counts original edges between supernodes A and C.
+    ``partition`` only needs ``members(sid)`` and ``node2super`` —
+    snapshot partitions used by the multiprocess planner work too.
+    """
+    sids: List[int] = [int(s) for group in groups for s in group]
     node2super = partition.node2super
-    members_per_sid = [
-        np.asarray(partition.members(sid), dtype=np.int64) for sid in sids
-    ]
-    member_counts = np.array([m.size for m in members_per_sid], dtype=np.int64)
-    all_members = (
-        np.concatenate(members_per_sid)
-        if member_counts.sum()
-        else np.empty(0, dtype=np.int64)
+    member_lists = [partition.members(sid) for sid in sids]
+    member_counts = np.fromiter(
+        map(len, member_lists), dtype=np.int64, count=len(sids)
+    )
+    all_members = np.fromiter(
+        chain.from_iterable(member_lists), dtype=np.int64,
+        count=int(member_counts.sum()),
     )
     neighbours, row_lengths = gather_rows(
         graph.indptr, graph.indices, all_members
     )
-    # row index (position of the sid in the group) for every gathered entry
-    row_of_member = np.repeat(
-        np.arange(len(sids), dtype=np.int64), member_counts
+    # key = row index (position of the sid in ``sids``) * n + neighbour
+    # supernode, for every gathered entry; built in place to hold one
+    # edge-sized array less at peak.
+    keys = np.repeat(
+        np.repeat(np.arange(len(sids), dtype=np.int64), member_counts),
+        row_lengths,
     )
-    rows = np.repeat(row_of_member, row_lengths)
-    cols = node2super[neighbours]
     n = np.int64(max(1, int(node2super.size)))
-    keys, counts = np.unique(rows * n + cols, return_counts=True)
-    key_rows = keys // n
-    key_cols = keys % n
-    # np.unique returns keys sorted, so rows form sorted runs: slice per sid.
-    bounds = np.searchsorted(key_rows, np.arange(len(sids) + 1))
-    for i, sid in enumerate(sids):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        table = dict(
-            zip(key_cols[lo:hi].tolist(), counts[lo:hi].tolist())
-        )
-        internal = table.pop(sid, 0)
-        if internal:
-            # Each internal undirected edge was seen from both endpoints.
-            table[sid] = internal // 2
-        w[sid] = table
-    return w
+    keys *= n
+    keys += node2super[neighbours]
+    del neighbours
+    keys, counts = np.unique(keys, return_counts=True)
+    # np.unique returns keys sorted, so rows form sorted runs.
+    bounds = np.searchsorted(keys // n, np.arange(len(sids) + 1))
+    return WTable(sids, bounds.tolist(), keys % n, counts)

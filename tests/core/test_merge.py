@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core.ldme import LDME
 from repro.core.merge import (
     merge_group_exact,
     merge_group_superjaccard,
     merge_threshold,
+    pick_schedule,
     super_jaccard,
 )
 from repro.core.partition import SupernodePartition
+from repro.kernels import wtable
 from repro.graph.generators import web_host_graph
 from repro.graph.graph import Graph
 
@@ -127,3 +130,46 @@ class TestMergeStatsAccumulation:
         a += MergeStats(merges=2, candidates_scored=7)
         assert a.merges == 3
         assert a.candidates_scored == 12
+
+
+class TestPickSchedule:
+    def test_batched_draw_matches_scalar_stream(self):
+        """``pick_schedule`` (``rng.integers(arange(n, 0, -1))``) must equal
+        n scalar draws, values and final generator state; the merge loop's
+        bit-identity with earlier runs rests on it."""
+        for seed in range(50):
+            for n in range(1, 65):
+                batched = np.random.default_rng([seed, n])
+                scalar = np.random.default_rng([seed, n])
+                picks = pick_schedule(batched, n)
+                expected = [int(scalar.integers(k)) for k in range(n, 0, -1)]
+                assert picks == expected, (seed, n)
+                assert (batched.bit_generator.state
+                        == scalar.bit_generator.state), (seed, n)
+
+
+class TestWTableAmortization:
+    def test_one_table_build_per_mergeable_iteration(self, monkeypatch):
+        graph = web_host_graph(num_hosts=6, host_size=12, seed=3)
+        builds = []
+        real_build = wtable.build_w_table
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return real_build(*args, **kwargs)
+
+        mergeable_iterations = []
+        real_divide = LDME.divide
+
+        def recording_divide(self, *args, **kwargs):
+            groups, stats = real_divide(self, *args, **kwargs)
+            mergeable_iterations.append(any(len(g) >= 2 for g in groups))
+            return groups, stats
+
+        monkeypatch.setattr(wtable, "build_w_table", counting_build)
+        monkeypatch.setattr(LDME, "divide", recording_divide)
+        result = LDME(k=5, iterations=3, seed=0).summarize(graph)
+        assert len(mergeable_iterations) == 3
+        assert sum(mergeable_iterations) > 0
+        assert len(builds) == sum(mergeable_iterations)
+        assert result.num_supernodes < graph.num_nodes

@@ -4,8 +4,9 @@ Property-based (Hypothesis) random graphs, partitions and seeds assert the
 vectorized kernels in :mod:`repro.kernels` are **bit-identical** to the
 reference implementations they replace:
 
-* ``W`` tables (:func:`repro.kernels.wtable.build_group_w` vs the
-  ``GroupAdjacency`` dict loop),
+* ``W`` tables (:func:`repro.kernels.wtable.build_w_table`, one group or
+  an iteration-wide table with re-keyed rows, vs the ``GroupAdjacency``
+  dict loop),
 * DOPH signature matrices (bulk numpy vs bulk python vs per-row scalar),
 * ``EncodeResult`` — superedges, C+ and C− as *ordered* lists,
 * end-to-end LDME summaries under both backends.
@@ -26,7 +27,7 @@ from repro.core.merge import merge_group_exact
 from repro.core.partition import SupernodePartition
 from repro.core.saving import GroupAdjacency
 from repro.graph.graph import Graph
-from repro.kernels import build_group_w
+from repro.kernels import build_w_table
 from repro.kernels.doph import (
     doph_signatures_bulk_numpy,
     doph_signatures_bulk_python,
@@ -85,7 +86,38 @@ class TestWTableDifferential:
         reference = GroupAdjacency(graph, partition, group, kernels="python")
         kernel = GroupAdjacency(graph, partition, group, kernels="numpy")
         assert reference.w == kernel.w
-        assert build_group_w(graph, partition, group) == reference.w
+        one_group = build_w_table(graph, partition, [group])
+        assert one_group.group_w(partition, group) == reference.w
+
+    @given(graphs(), st.integers(min_value=0, max_value=2**31 - 1),
+           st.integers(min_value=2, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_rekeyed_rows_match_fresh_build(self, graph, seed, num_groups):
+        """A later group's rows, sliced after earlier groups merged, equal
+        a fresh reference build at that point."""
+        partition = random_partition(graph, seed)
+        rng = np.random.default_rng(seed)
+        ids = list(partition.supernode_ids())
+        rng.shuffle(ids)
+        cuts = sorted(rng.integers(0, len(ids) + 1, size=num_groups - 1))
+        groups = [g.tolist() for g in np.split(np.array(ids), cuts)]
+        table = build_w_table(graph, partition, groups)
+        for group in groups:
+            adjacency = GroupAdjacency(
+                graph, partition, group, kernels="numpy", table=table
+            )
+            fresh = GroupAdjacency(graph, partition, group, kernels="python")
+            assert adjacency.w == fresh.w
+            alive = list(group)
+            for _ in range(int(rng.integers(0, len(alive) + 1))):
+                if len(alive) < 2:
+                    break
+                a, b = rng.choice(len(alive), size=2, replace=False)
+                survivor, absorbed = partition.merge(
+                    alive[int(a)], alive[int(b)]
+                )
+                adjacency.apply_merge(survivor, absorbed)
+                alive.remove(absorbed)
 
     @given(graphs(), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)
