@@ -16,16 +16,8 @@ rung behind the ``slow`` marker):
   10^6-edge graph.
 * ``encode`` — sort-based output encoding (Algorithm 5).
 
-It also times ``mp_merge`` — one full :class:`MultiprocessLDME` merge
-phase over a pair-granularity partition — under both worker transports
-(``transport=pickle`` vs ``transport=shm``). The shared-memory arena must
-not lose to the pickle transport on the 10^6-edge merge graph; that gate
-is what keeps the zero-copy path honest as the arena code evolves.
-
 Each phase runs ``REPEATS`` times per backend and the minimum wall time is
-kept (:meth:`PhaseTimer.best_seconds`); the transport comparison
-alternates pickle/shm ordering across repeats so clock drift cancels.
-Results land in ``BENCH_kernels.json`` at the repo root — the
+kept (:meth:`PhaseTimer.best_seconds`). Results land in ``BENCH_kernels.json`` at the repo root — the
 machine-readable perf trajectory future PRs regress against. Writers
 merge by graph label instead of clobbering the file, so the slow 10^7
 rows survive a fast re-run and vice versa. The backend gate is
@@ -39,7 +31,6 @@ Run with ``-s`` to see the per-phase table::
 """
 
 import json
-import multiprocessing
 import platform
 from pathlib import Path
 
@@ -49,8 +40,6 @@ import pytest
 from repro.core.encode import encode_sorted
 from repro.core.partition import SupernodePartition
 from repro.core.saving import GroupAdjacency
-from repro.core.summary import RunStats
-from repro.distributed.multiprocess import MultiprocessLDME
 from repro.graph.generators import erdos_renyi
 from repro.lsh.doph import doph_signatures_bulk
 from repro.lsh.permutation import random_permutation
@@ -59,14 +48,11 @@ from repro.metrics import PhaseTimer, write_bench
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 BACKENDS = ("python", "numpy")
 PHASES = ("w_build", "doph_bulk", "encode")
-TRANSPORTS = ("pickle", "shm")
 REPEATS = 3
 K = 8
 SEED = 7
 GROUP_SIZE = 64
 SUPER_SIZE = 32
-MP_WORKERS = 4
-MP_THRESHOLD = 0.5
 
 #: The 10^4–10^6 edge ladder: label -> (num_nodes, target_edges).
 GRAPH_SIZES = {
@@ -79,18 +65,6 @@ GRAPH_SIZES = {
 GRAPH_SIZES_SLOW = {
     "1e7": (60_000, 10_000_000),
 }
-
-#: Transport-benchmark graphs: membership-heavy (many nodes, sparse), so
-#: the merge phase ships a large worker payload — the regime the arena is
-#: for. label -> (num_nodes, target_edges, transport_repeats).
-MERGE_GRAPHS = {
-    "1e6": (400_000, 1_000_000, 3),
-}
-MERGE_GRAPHS_SLOW = {
-    "1e7": (1_200_000, 10_000_000, 2),
-}
-
-fork_available = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _make_graph(num_nodes: int, target_edges: int):
@@ -164,42 +138,8 @@ def _time_phases(timer: PhaseTimer, label: str, graph) -> None:
                 encode_sorted(graph, paired, backend=backend)
 
 
-def _time_mp_merge(timer: PhaseTimer, label: str, num_nodes: int,
-                   target_edges: int, repeats: int) -> int:
-    """Time one multiprocess merge phase under each worker transport.
-
-    Pair supernodes grouped two at a time maximise the membership payload
-    per unit of planning work — the shape where the transport, not the
-    Saving arithmetic, is what's being measured. Transport order
-    alternates across repeats so slow-clock drift on shared runners
-    cancels instead of biasing one side. Returns the group count.
-    """
-    graph = _make_graph(num_nodes, target_edges)
-    base = _paired_partition(num_nodes)
-    ids = np.fromiter(base.supernode_ids(), dtype=np.int64)
-    ids.sort()
-    groups = [ids[i:i + 2].tolist() for i in range(0, ids.size, 2)]
-
-    for rep in range(repeats):
-        order = TRANSPORTS if rep % 2 else tuple(reversed(TRANSPORTS))
-        for transport in order:
-            algo = MultiprocessLDME(
-                num_workers=MP_WORKERS, k=K, seed=SEED,
-                shared_memory="on" if transport == "shm" else "off",
-                batch_timeout=600.0,
-            )
-            partition = base.copy()
-            with timer.phase("mp_merge", graph=label, transport=transport):
-                algo._merge_phase(
-                    graph, partition, groups, MP_THRESHOLD,
-                    np.random.default_rng(0), 1, RunStats(),
-                )
-            algo.close_arenas()
-    return len(groups)
-
-
 def _speedups(timer: PhaseTimer, labels) -> dict:
-    """python_best / numpy_best per (graph, phase), plus pickle/shm."""
+    """python_best / numpy_best per (graph, phase)."""
     table = {}
     for label in labels:
         for name in PHASES:
@@ -207,10 +147,6 @@ def _speedups(timer: PhaseTimer, labels) -> dict:
             np_ = timer.best_seconds(name, graph=label, backend="numpy")
             if py is not None and np_ is not None and np_ > 0:
                 table[f"{label}/{name}"] = round(py / np_, 2)
-        pk = timer.best_seconds("mp_merge", graph=label, transport="pickle")
-        sh = timer.best_seconds("mp_merge", graph=label, transport="shm")
-        if pk is not None and sh is not None and sh > 0:
-            table[f"{label}/mp_merge"] = round(pk / sh, 2)
     return table
 
 
@@ -242,7 +178,7 @@ def _merge_into_bench(timer: PhaseTimer, meta: dict, labels) -> None:
     write_bench(str(BENCH_PATH), carrier, meta=merged_meta)
 
 
-def _run_ladder(timer: PhaseTimer, sizes: dict, merge_sizes: dict) -> dict:
+def _run_ladder(timer: PhaseTimer, sizes: dict) -> dict:
     graph_meta = {}
     for label, (num_nodes, target_edges) in sizes.items():
         graph = _make_graph(num_nodes, target_edges)
@@ -252,17 +188,6 @@ def _run_ladder(timer: PhaseTimer, sizes: dict, merge_sizes: dict) -> dict:
             "target_edges": target_edges,
         }
         _time_phases(timer, label, graph)
-    if fork_available:
-        for label, (num_nodes, target_edges, repeats) in merge_sizes.items():
-            num_groups = _time_mp_merge(
-                timer, label, num_nodes, target_edges, repeats
-            )
-            graph_meta[label].setdefault("mp_merge", {}).update({
-                "num_nodes": num_nodes,
-                "num_groups": num_groups,
-                "num_workers": MP_WORKERS,
-                "threshold": MP_THRESHOLD,
-            })
     return graph_meta
 
 
@@ -278,13 +203,6 @@ def _report(timer: PhaseTimer, labels) -> None:
                 continue
             print(f"{label:>6} {name:>10} {py:>10.4f} {nx:>10.4f} "
                   f"{py / nx:>7.1f}x")
-    for label in labels:
-        pk = timer.best_seconds("mp_merge", graph=label, transport="pickle")
-        sh = timer.best_seconds("mp_merge", graph=label, transport="shm")
-        if pk is None or sh is None:
-            continue
-        print(f"{label:>6} {'mp_merge':>10} {pk:>10.4f} {sh:>10.4f} "
-              f"{pk / sh:>7.2f}x  (pickle vs shm)")
 
 
 def _base_meta(graph_meta: dict, speedups: dict) -> dict:
@@ -303,7 +221,7 @@ def _base_meta(graph_meta: dict, speedups: dict) -> dict:
 
 def test_kernels_regression():
     timer = PhaseTimer()
-    graph_meta = _run_ladder(timer, GRAPH_SIZES, MERGE_GRAPHS)
+    graph_meta = _run_ladder(timer, GRAPH_SIZES)
     labels = sorted(graph_meta)
     speedups = _speedups(timer, labels)
     _merge_into_bench(timer, _base_meta(graph_meta, speedups), labels)
@@ -326,16 +244,6 @@ def test_kernels_regression():
         f"chunked DOPH scatter regressed: {speedups['1e6/doph_bulk']}x "
         "< 15x over python on the 1e6 graph"
     )
-    if fork_available:
-        # The arena's reason to exist: zero-copy dispatch must beat
-        # pickling the membership payload at the 10^6-edge merge.
-        pk = timer.best_seconds("mp_merge", graph="1e6", transport="pickle")
-        sh = timer.best_seconds("mp_merge", graph="1e6", transport="shm")
-        assert pk is not None and sh is not None
-        assert sh <= pk, (
-            f"shm transport lost to pickle on the 1e6 merge: {sh:.3f}s "
-            f"vs {pk:.3f}s"
-        )
 
 
 @pytest.mark.slow
@@ -347,7 +255,7 @@ def test_kernels_regression_1e7():
     JSON is the record; the fast test carries the CI gates.
     """
     timer = PhaseTimer()
-    graph_meta = _run_ladder(timer, GRAPH_SIZES_SLOW, MERGE_GRAPHS_SLOW)
+    graph_meta = _run_ladder(timer, GRAPH_SIZES_SLOW)
     labels = sorted(graph_meta)
     speedups = _speedups(timer, labels)
     _merge_into_bench(timer, _base_meta(graph_meta, speedups), labels)

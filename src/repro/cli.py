@@ -65,23 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--num-workers", type=int, default=1,
                        help="worker processes (>1 uses the supervised "
                             "multiprocess LDME driver)")
-    p_sum.add_argument("--shared-memory", choices=("auto", "on", "off"),
-                       default="auto",
-                       help="zero-copy worker transport with --num-workers: "
-                            "place the CSR in shared-memory arenas so "
-                            "workers attach instead of unpickling batches "
-                            "(auto = use when available; see "
-                            "docs/performance.md)")
-    p_sum.add_argument("--doph-chunk-rows", type=int, default=0,
-                       metavar="N",
-                       help="cache-block the DOPH scatter kernel into "
-                            "N-entry chunks (0 = auto; bit-identical for "
-                            "any value)")
-    p_sum.add_argument("--encode-partitions", type=int, default=0,
-                       metavar="P",
-                       help="partition the encode sort into P value-range "
-                            "buckets (0 = single global lexsort; "
-                            "bit-identical for any value)")
     p_sum.add_argument("--output", "-o", help="write the summary to this path")
     p_sum.add_argument("--resume-from", metavar="CKPT",
                        help="warm-start from a partition checkpoint")
@@ -263,10 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shs.add_argument("--num-workers", type=int, default=1,
                        help="worker processes per shard run (>1 uses the "
                             "supervised multiprocess driver)")
-    p_shs.add_argument("--shared-memory", choices=("auto", "on", "off"),
-                       default="auto",
-                       help="zero-copy worker transport with --num-workers: "
-                            "one shared-memory arena per shard CSR")
     p_shs.add_argument("--virtual-nodes", type=int, default=64,
                        help="ring points per shard (balance knob)")
     p_shs.add_argument("--checkpoint-dir", metavar="DIR",
@@ -497,9 +476,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
                 epsilon=args.epsilon,
                 seed=args.seed,
                 kernels=args.kernels,
-                shared_memory=args.shared_memory,
-                doph_chunk_rows=args.doph_chunk_rows,
-                encode_partitions=args.encode_partitions,
             )
         else:
             algo = LDME(
@@ -508,8 +484,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
                 epsilon=args.epsilon,
                 seed=args.seed,
                 kernels=args.kernels,
-                doph_chunk_rows=args.doph_chunk_rows,
-                encode_partitions=args.encode_partitions,
             )
     else:
         algo = SWeG(
@@ -900,7 +874,6 @@ def _cmd_shard_summarize(args: argparse.Namespace) -> int:
         seed=args.seed,
         kernels=args.kernels,
         num_workers=args.num_workers,
-        shared_memory=args.shared_memory,
         virtual_nodes=args.virtual_nodes,
         checkpoint_dir=args.checkpoint_dir,
         out_dir=args.out,

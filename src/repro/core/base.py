@@ -78,7 +78,6 @@ class BaseSummarizer(ABC):
         early_stop_rounds: int = 0,
         track_compression: bool = False,
         kernels: str = "numpy",
-        encode_partitions: int = 0,
     ) -> None:
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -90,8 +89,6 @@ class BaseSummarizer(ABC):
             raise ValueError("early_stop_rounds must be non-negative")
         if kernels not in ("python", "numpy"):
             raise ValueError("kernels must be 'python' or 'numpy'")
-        if encode_partitions < 0:
-            raise ValueError("encode_partitions must be non-negative")
         self.iterations = iterations
         self.epsilon = epsilon
         self.seed = seed
@@ -100,9 +97,6 @@ class BaseSummarizer(ABC):
         # Hot-path backend for W construction, bulk DOPH and the sorted
         # encode; "python" keeps the differential-testing reference.
         self.kernels = kernels
-        # Partitioned-lexsort bucket count for the numpy sorted encode
-        # (0 = one global sort; output-identical for every value).
-        self.encode_partitions = encode_partitions
         # Extension beyond the paper: stop once this many consecutive
         # iterations produced zero merges (0 disables the check).
         self.early_stop_rounds = early_stop_rounds
@@ -321,8 +315,7 @@ class BaseSummarizer(ABC):
                             tic = time.perf_counter()
                             snapshot = (
                                 encode_sorted(
-                                    graph, partition, backend=self.kernels,
-                                    partitions=self.encode_partitions,
+                                    graph, partition, backend=self.kernels
                                 )
                                 if self.encoder == "sorted"
                                 else encode_per_supernode(graph, partition)
@@ -365,8 +358,7 @@ class BaseSummarizer(ABC):
                 tic = time.perf_counter()
                 if self.encoder == "sorted":
                     encoded = encode_sorted(
-                        graph, partition, backend=self.kernels,
-                        partitions=self.encode_partitions,
+                        graph, partition, backend=self.kernels
                     )
                 else:
                     encoded = encode_per_supernode(graph, partition)

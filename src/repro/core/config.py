@@ -35,21 +35,6 @@ class LDMEConfig:
         encode) or ``"python"`` (the pure-Python reference the kernels are
         differential-tested against). Results are bit-identical; the knob
         exists for testing and for perf regression baselines.
-    shared_memory:
-        Zero-copy worker transport for the multiprocess driver:
-        ``"auto"`` (default — shared-memory arenas when the platform
-        supports them, pickle batches otherwise), ``"on"`` (require
-        arenas; setup failure still degrades to pickle but is counted),
-        ``"off"`` (always pickle). Serial drivers ignore it. Results are
-        bit-identical across all three settings.
-    doph_chunk_rows:
-        Entries per cache-blocked chunk in the bulk-DOPH scatter kernel
-        (``0`` = auto-sized). Any value produces bit-identical
-        signatures; the knob trades temporary-array footprint against
-        loop overhead.
-    encode_partitions:
-        Bucket count for the partitioned encode lexsort (``0``/``1`` =
-        one global sort). Any value produces identical output ordering.
     """
 
     k: int = 5
@@ -59,9 +44,6 @@ class LDMEConfig:
     seed: int = 0
     encoder: str = "sorted"
     kernels: str = "numpy"
-    shared_memory: str = "auto"
-    doph_chunk_rows: int = 0
-    encode_partitions: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -76,9 +58,3 @@ class LDMEConfig:
             raise ValueError("encoder must be 'sorted' or 'per-supernode'")
         if self.kernels not in ("python", "numpy"):
             raise ValueError("kernels must be 'python' or 'numpy'")
-        if self.shared_memory not in ("auto", "on", "off"):
-            raise ValueError("shared_memory must be 'auto', 'on' or 'off'")
-        if self.doph_chunk_rows < 0:
-            raise ValueError("doph_chunk_rows must be non-negative")
-        if self.encode_partitions < 0:
-            raise ValueError("encode_partitions must be non-negative")

@@ -66,8 +66,6 @@ def lsh_divide(
     weights: str = "binary",
     weight_cap: int = 4,
     kernels: str = "numpy",
-    chunk_rows: int = 0,
-    signature_fn=None,
 ) -> Tuple[List[List[int]], DivideStats]:
     """Weighted-LSH divide (Algorithm 3), fully vectorized.
 
@@ -86,13 +84,7 @@ def lsh_divide(
     ``kernels`` picks the signature backend on the binary path:
     ``"numpy"`` (the bulk scatter kernel) or ``"python"`` (the per-node
     scalar reference loop). The groups are identical either way; the
-    expanded-weights path is always bulk. ``chunk_rows`` bounds the numpy
-    kernel's cache-blocked scatter chunks (0 = auto; bit-identical for
-    any value). ``signature_fn``, when given, replaces the in-process
-    bulk call on the binary path — the seam the multiprocess driver uses
-    to fan the scatter out across shared-memory workers; it receives
-    ``(rows, items, num_rows, perm, k, directions)`` and must return the
-    same ``(num_rows, k)`` signature matrix.
+    expanded-weights path is always bulk.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -109,15 +101,10 @@ def lsh_divide(
     ) as sig_span:
         if weights == "binary":
             perm = random_permutation(max(1, n), rng)
-            if signature_fn is not None:
-                signatures = signature_fn(
-                    rows, graph.indices, int(sids.size), perm, k, directions
-                )
-            else:
-                signatures = doph_signatures_bulk(
-                    rows, graph.indices, sids.size, perm, k, directions,
-                    backend=kernels, chunk_rows=chunk_rows,
-                )
+            signatures = doph_signatures_bulk(
+                rows, graph.indices, sids.size, perm, k, directions,
+                backend=kernels,
+            )
         else:
             from ..lsh.weighted_doph import weighted_doph_signatures_bulk
 

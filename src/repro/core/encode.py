@@ -100,7 +100,6 @@ def encode_sorted(
     graph: Graph,
     partition: SupernodePartition,
     backend: str = "python",
-    partitions: int = 0,
 ) -> EncodeResult:
     """LDME's sort-based encoder (Algorithm 5).
 
@@ -110,14 +109,11 @@ def encode_sorted(
     array-native kernel (:func:`repro.kernels.encode.encode_sorted_numpy`),
     which produces element- and order-identical output without per-edge
     Python tuples; ``"python"`` (default) runs the reference scan below.
-    ``partitions`` selects the numpy kernel's partitioned-lexsort bucket
-    count (0/1 = one global sort; any value is output-identical); the
-    python reference ignores it.
     """
     if backend == "numpy":
         from ..kernels.encode import encode_sorted_numpy
 
-        return encode_sorted_numpy(graph, partition, partitions=partitions)
+        return encode_sorted_numpy(graph, partition)
     if backend != "python":
         raise ValueError("backend must be 'python' or 'numpy'")
     superedges: List[Edge] = []

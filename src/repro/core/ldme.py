@@ -53,9 +53,6 @@ class LDME(BaseSummarizer):
         divide_weights: str = "binary",
         track_compression: bool = False,
         kernels: str = "numpy",
-        shared_memory: str = "auto",
-        doph_chunk_rows: int = 0,
-        encode_partitions: int = 0,
         config: Optional[LDMEConfig] = None,
     ) -> None:
         if config is not None:
@@ -66,9 +63,6 @@ class LDME(BaseSummarizer):
             cost_model = config.cost_model
             encoder = config.encoder
             kernels = config.kernels
-            shared_memory = config.shared_memory
-            doph_chunk_rows = config.doph_chunk_rows
-            encode_partitions = config.encode_partitions
         super().__init__(
             iterations=iterations,
             epsilon=epsilon,
@@ -78,7 +72,6 @@ class LDME(BaseSummarizer):
             early_stop_rounds=early_stop_rounds,
             track_compression=track_compression,
             kernels=kernels,
-            encode_partitions=encode_partitions,
         )
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -86,18 +79,9 @@ class LDME(BaseSummarizer):
             raise ValueError("merge_policy must be 'exact' or 'superjaccard'")
         if divide_weights not in ("binary", "expanded"):
             raise ValueError("divide_weights must be 'binary' or 'expanded'")
-        if shared_memory not in ("auto", "on", "off"):
-            raise ValueError("shared_memory must be 'auto', 'on' or 'off'")
-        if doph_chunk_rows < 0:
-            raise ValueError("doph_chunk_rows must be non-negative")
         self.k = k
         self.merge_policy = merge_policy
         self.divide_weights = divide_weights
-        # Worker transport policy; consumed by the multiprocess subclass
-        # (serial LDME carries it so configs round-trip unchanged).
-        self.shared_memory = shared_memory
-        # Cache-blocking chunk size for the bulk-DOPH scatter (0 = auto).
-        self.doph_chunk_rows = doph_chunk_rows
         self.name = f"LDME{k}"
 
     # ------------------------------------------------------------------
@@ -110,7 +94,7 @@ class LDME(BaseSummarizer):
         """Weighted-LSH divide with a fresh DOPH hasher per iteration."""
         return lsh_divide(
             graph, partition, self.k, rng, weights=self.divide_weights,
-            kernels=self.kernels, chunk_rows=self.doph_chunk_rows,
+            kernels=self.kernels,
         )
 
     def merge_context(

@@ -27,7 +27,6 @@ __all__ = [
     "MergeStats",
     "merge_group_exact",
     "merge_group_superjaccard",
-    "pick_schedule",
     "super_jaccard",
 ]
 
@@ -60,18 +59,6 @@ def _rng(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def pick_schedule(rng: np.random.Generator, n: int) -> List[int]:
-    """The merge loop's ``n`` random picks, drawn in one call.
-
-    The loop removes one supernode per step, so step ``i`` picks from
-    ``n - i`` entries. ``rng.integers(np.arange(n, 0, -1))`` yields the
-    same values and leaves the generator in the same state as the ``n``
-    scalar draws ``rng.integers(n), rng.integers(n - 1), ...``
-    (``tests/core/test_merge.py`` pins this for the installed numpy).
-    """
-    return rng.integers(np.arange(n, 0, -1)).tolist()
-
-
 def merge_group_exact(
     graph: Graph,
     partition: SupernodePartition,
@@ -99,7 +86,8 @@ def merge_group_exact(
         table=table,
     )
     temp = list(group)
-    for pick in pick_schedule(rng, len(temp)):
+    while temp:
+        pick = int(rng.integers(len(temp)))
         temp[pick], temp[-1] = temp[-1], temp[pick]
         a = temp.pop()
         if not temp:
@@ -152,7 +140,8 @@ def merge_group_superjaccard(
         sid: partition.supervector(graph, sid) for sid in group
     }
     temp = list(group)
-    for pick in pick_schedule(rng, len(temp)):
+    while temp:
+        pick = int(rng.integers(len(temp)))
         temp[pick], temp[-1] = temp[-1], temp[pick]
         a = temp.pop()
         if not temp:

@@ -83,7 +83,6 @@ class RunStats:
     batch_timeouts: int = 0        # worker batches that exceeded the deadline
     batch_retries: int = 0         # batches re-submitted to a fresh pool
     serial_fallbacks: int = 0      # batches planned serially in-process
-    shm_fallbacks: int = 0         # shared-memory setups degraded to pickle
 
     @property
     def total_seconds(self) -> float:

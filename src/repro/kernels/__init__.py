@@ -13,10 +13,6 @@ NumPy/CSR implementations of those hot paths:
   scalar loop kept as the differential-testing reference.
 * :mod:`repro.kernels.encode` — array-native ``encode_sorted``: lexsort +
   run-length group scan with no per-edge Python tuples on the hot path.
-* :mod:`repro.kernels.shm` — :class:`~repro.kernels.shm.SharedGraphArena`:
-  CSR/weight/signature arrays in ``multiprocessing.shared_memory``
-  segments with a CRC-carrying descriptor, so the multiprocess driver's
-  workers attach zero-copy instead of unpickling batches.
 
 Every kernel is **bit-identical** to the pure-Python reference that stays
 behind the ``kernels="python"`` knob (see :class:`repro.core.config.
@@ -36,11 +32,6 @@ __all__ = [
     "doph_signatures_bulk_numpy",
     "doph_signatures_bulk_python",
     "encode_sorted_numpy",
-    "ArenaDescriptor",
-    "ArenaDescriptorError",
-    "ArenaError",
-    "SharedGraphArena",
-    "shared_memory_available",
 ]
 
 #: Valid values for the ``kernels`` knob threaded through the pipeline.
@@ -58,11 +49,4 @@ def resolve_backend(name: str) -> str:
 
 from .doph import doph_signatures_bulk_numpy, doph_signatures_bulk_python  # noqa: E402
 from .encode import encode_sorted_numpy  # noqa: E402
-from .shm import (  # noqa: E402
-    ArenaDescriptor,
-    ArenaDescriptorError,
-    ArenaError,
-    SharedGraphArena,
-    shared_memory_available,
-)
 from .wtable import WTable, build_w_table  # noqa: E402

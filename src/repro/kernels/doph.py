@@ -15,14 +15,12 @@ All-zero rows come back as all-``EMPTY`` (the isolated-supernode sentinel
 the divide step relies on) under both implementations and both
 densification modes.
 
-The numpy path is factored into two exported stages so the multiprocess
-driver can split the scatter across workers:
+The numpy path runs in two stages:
 
-* :func:`doph_scatter_min` — chunked, cache-blocked flat min-scatter over
-  any *subset* of the ``(row, item)`` entries. Minimum is associative and
-  commutative, so partial scatters over an arbitrary partitioning of the
-  entries, reduced with ``np.minimum``, equal the single-pass scatter
-  bit-for-bit.
+* :func:`doph_scatter_min` — chunked, cache-blocked flat min-scatter of
+  the ``(row, item)`` entries. Its ``chunk_rows`` keyword is the test
+  seam for chunk boundaries; production calls use the fixed
+  :data:`_AUTO_CHUNK_ROWS`.
 * :func:`doph_densify` — rotation / optimal-probing densification of the
   scattered bin minima into final signatures.
 """
@@ -103,34 +101,24 @@ def doph_scatter_min(
     perm: np.ndarray,
     k: int,
     chunk_rows: int = 0,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Chunked cache-blocked bin-minimum scatter.
 
-    Returns (or min-combines into ``out``) a flat ``(num_rows * k,)``
-    int64 array whose slot ``r * k + b`` holds the minimum offset seen in
-    bin ``b`` of row ``r``, or :data:`SCATTER_EMPTY` when the bin never
-    received an entry. Processing ``chunk_rows`` entries at a time keeps
-    the gathered index/offset temporaries cache-resident, and the flat
-    1-D ``minimum.at`` takes numpy's fast indexed-loop path (the 2-D
+    Returns a flat ``(num_rows * k,)`` int64 array whose slot
+    ``r * k + b`` holds the minimum offset seen in bin ``b`` of row ``r``,
+    or :data:`SCATTER_EMPTY` when the bin never received an entry.
+    Processing ``chunk_rows`` entries at a time (0 = :data:`_AUTO_CHUNK_ROWS`)
+    keeps the gathered index/offset temporaries cache-resident, and the
+    flat 1-D ``minimum.at`` takes numpy's fast indexed-loop path (the 2-D
     fancy-index form does not); together these are what recover the
-    large-graph throughput the benchmark ladder tracks.
-
-    The scatter over any subset of entries is a partial result: because
-    ``min`` is associative and commutative, ``np.minimum`` of per-range
-    partials over a partitioning of the entries is bit-identical to the
-    one-pass scatter, which is how the multiprocess driver fans the
-    scatter out across workers.
+    large-graph throughput the benchmark ladder tracks. Every chunking
+    yields the same array.
     """
     n = perm.shape[0]
     bin_size = -(-n // k)  # ceil(n / k), matching the scalar kernel
     total = num_rows * k
-    if out is None:
-        out = np.full(total, SCATTER_EMPTY, dtype=np.int64)
-    elif out.shape != (total,) or out.dtype != np.int64:
-        raise ValueError("out must be a flat (num_rows * k,) int64 array")
     if item_ids.size == 0:
-        return out
+        return np.full(total, SCATTER_EMPTY, dtype=np.int64)
     if chunk_rows <= 0:
         chunk_rows = _AUTO_CHUNK_ROWS
     # int32 intermediates halve scatter bandwidth whenever the values fit;
@@ -150,10 +138,7 @@ def doph_scatter_min(
         slots += item_bins[chunk_items].astype(index_dt)
         np.minimum.at(flat, slots, item_offsets[chunk_items])
     written = flat != value_sentinel
-    np.minimum(
-        out, np.where(written, flat.astype(np.int64), SCATTER_EMPTY), out=out
-    )
-    return out
+    return np.where(written, flat.astype(np.int64), SCATTER_EMPTY)
 
 
 def doph_densify(
@@ -196,7 +181,6 @@ def doph_signatures_bulk_numpy(
     k: int,
     directions: np.ndarray,
     densification: str = "rotation",
-    chunk_rows: int = 0,
 ) -> np.ndarray:
     """Vectorized bulk path: scatter bin minima, densify all rows at once.
 
@@ -204,13 +188,9 @@ def doph_signatures_bulk_numpy(
     binary vectors (duplicates are harmless — the signature is a minimum).
     This is the production path of LDME's divide step: no per-supernode
     Python work regardless of how many supernodes are hashed.
-    ``chunk_rows`` bounds the entries scattered per cache-blocked chunk
-    (0 = auto); every chunking yields bit-identical signatures.
     """
     row_ids, item_ids = _check_bulk_args(row_ids, item_ids, k, directions)
-    flat = doph_scatter_min(
-        row_ids, item_ids, num_rows, perm, k, chunk_rows=chunk_rows
-    )
+    flat = doph_scatter_min(row_ids, item_ids, num_rows, perm, k)
     return doph_densify(flat, num_rows, k, directions, densification)
 
 

@@ -17,14 +17,6 @@ The output lists (superedges, additions, deletions) are element- and
 order-identical to the reference: runs are visited in the same lexsort
 order, additions keep the reference's stable within-run edge order and
 deletions keep the reference's nested member-loop order.
-
-``partitions > 1`` swaps the single global lexsort for
-:func:`partitioned_lexsort` — bucket the edges by primary-key value range,
-lexsort each bucket independently, and concatenate. The buckets partition
-the primary-key value space in order and per-bucket stable sorts preserve
-the original relative order of equal keys, so the concatenated permutation
-is *strictly identical* to the global ``np.lexsort`` — partitioning is a
-locality/cache knob, never a semantics knob.
 """
 
 from __future__ import annotations
@@ -37,45 +29,14 @@ from ..core.encode import EncodeResult
 from ..core.summary import CorrectionSet
 from ..obs import profile
 
-__all__ = ["encode_sorted_numpy", "partitioned_lexsort"]
+__all__ = ["encode_sorted_numpy"]
 
 Edge = Tuple[int, int]
 
 
-def partitioned_lexsort(
-    lo: np.ndarray, hi: np.ndarray, partitions: int = 0
-) -> np.ndarray:
-    """``np.lexsort((hi, lo))`` computed bucket-by-bucket.
-
-    Buckets are contiguous value ranges of the primary key ``lo`` (every
-    distinct ``lo`` value maps to exactly one bucket), so sorting each
-    bucket with the same stable lexsort and concatenating in bucket order
-    reproduces the global permutation bit-for-bit — while each sort runs
-    over a cache-sized slice. ``partitions <= 1`` falls back to the global
-    sort. Requires non-negative keys (supernode ids).
-    """
-    if partitions <= 1 or lo.size == 0:
-        return np.lexsort((hi, lo))
-    span = int(lo.max()) + 1
-    num_buckets = min(int(partitions), span)
-    if num_buckets <= 1:
-        return np.lexsort((hi, lo))
-    bucket = (lo * num_buckets) // span
-    pieces = []
-    for b in range(num_buckets):
-        idx = np.flatnonzero(bucket == b)
-        if idx.size:
-            pieces.append(idx[np.lexsort((hi[idx], lo[idx]))])
-    return np.concatenate(pieces)
-
-
 @profile.profiled("encode_sorted")
-def encode_sorted_numpy(graph, partition, partitions: int = 0) -> EncodeResult:
-    """Vectorized Algorithm 5; bit-identical to the pure-Python reference.
-
-    ``partitions`` selects the :func:`partitioned_lexsort` bucket count
-    (0/1 = single global sort); every value yields identical output.
-    """
+def encode_sorted_numpy(graph, partition) -> EncodeResult:
+    """Vectorized Algorithm 5; bit-identical to the pure-Python reference."""
     superedges: List[Edge] = []
     additions: List[Edge] = []
     deletions: List[Edge] = []
@@ -88,7 +49,7 @@ def encode_sorted_numpy(graph, partition, partitions: int = 0) -> EncodeResult:
     sb = node2super[dst]
     lo = np.minimum(sa, sb)
     hi = np.maximum(sa, sb)
-    order = partitioned_lexsort(lo, hi, partitions)
+    order = np.lexsort((hi, lo))
     lo, hi, src, dst = lo[order], hi[order], src[order], dst[order]
     change = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
     starts = np.concatenate([[0], change])

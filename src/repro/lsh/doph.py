@@ -148,7 +148,6 @@ def doph_signatures_bulk(
     directions: np.ndarray,
     densification: str = "rotation",
     backend: str = "numpy",
-    chunk_rows: int = 0,
 ) -> np.ndarray:
     """DOPH signatures for many binary vectors at once.
 
@@ -163,8 +162,7 @@ def doph_signatures_bulk(
     densification with no per-supernode Python work; ``backend="python"``
     loops the scalar signature per row and is kept as the
     differential-testing reference. Both live in :mod:`repro.kernels.doph`
-    and are bit-identical. ``chunk_rows`` bounds the entries scattered per
-    chunk on the numpy path (0 = auto; any value is bit-identical).
+    and are bit-identical.
     """
     from ..kernels.doph import (
         doph_signatures_bulk_numpy,
@@ -174,7 +172,7 @@ def doph_signatures_bulk(
     if backend == "numpy":
         return doph_signatures_bulk_numpy(
             row_ids, item_ids, num_rows, perm, k, directions,
-            densification=densification, chunk_rows=chunk_rows,
+            densification=densification,
         )
     if backend == "python":
         return doph_signatures_bulk_python(

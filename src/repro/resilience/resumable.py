@@ -126,10 +126,14 @@ def payload_to_state(payload: Dict[str, Any],
     partition = SupernodePartition.from_members(
         int(part_doc["num_nodes"]), members
     )
+    # Stats are timings and counters that never steer the trajectory, so
+    # keys RunStats no longer defines (checkpoints written by older
+    # versions) are dropped rather than rejected.
     stats_doc = dict(payload.get("stats") or {})
     iteration_docs = stats_doc.pop("iterations", [])
+    known = {f.name for f in dataclasses.fields(RunStats)}
     stats = RunStats(
-        **stats_doc,
+        **{key: value for key, value in stats_doc.items() if key in known},
         iterations=[IterationStats(**doc) for doc in iteration_docs],
     )
     return ResumeState(

@@ -60,7 +60,6 @@ def _default_factory(
     seed: int,
     kernels: str,
     num_workers: int,
-    shared_memory: str = "auto",
 ) -> AlgoFactory:
     def make(shard_id: int) -> BaseSummarizer:
         if num_workers > 1:
@@ -70,7 +69,6 @@ def _default_factory(
                 num_workers=num_workers,
                 k=k, iterations=iterations,
                 seed=seed + shard_id, kernels=kernels,
-                shared_memory=shared_memory,
             )
         return LDME(
             k=k, iterations=iterations,
@@ -89,7 +87,6 @@ def summarize_sharded(
     seed: int = 0,
     kernels: str = "numpy",
     num_workers: int = 1,
-    shared_memory: str = "auto",
     virtual_nodes: int = 64,
     algo_factory: Optional[AlgoFactory] = None,
     checkpoint_dir: Optional[str] = None,
@@ -103,12 +100,6 @@ def summarize_sharded(
     shards:
         Shard count (ring over ``0..K-1``) or a prebuilt
         :class:`HashRing` (e.g. from a manifest, for re-shard runs).
-    shared_memory:
-        Zero-copy transport knob forwarded to
-        :class:`MultiprocessLDME` when ``num_workers > 1`` — each shard
-        gets its own :class:`~repro.kernels.shm.SharedGraphArena` over
-        its local CSR (``"auto"``/``"on"``/``"off"``). Ignored for the
-        serial per-shard driver.
     algo_factory:
         ``shard_id -> BaseSummarizer`` override; the default builds
         :class:`LDME` (or :class:`MultiprocessLDME` when
@@ -127,7 +118,7 @@ def summarize_sharded(
         shards, virtual_nodes=virtual_nodes, seed=seed
     )
     factory = algo_factory or _default_factory(
-        k, iterations, seed, kernels, num_workers, shared_memory
+        k, iterations, seed, kernels, num_workers
     )
 
     with obs_trace.span(

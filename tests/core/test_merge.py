@@ -1,6 +1,5 @@
 """Tests for the merge phase (threshold, exact and SuperJaccard loops)."""
 
-import numpy as np
 import pytest
 
 from repro.core.ldme import LDME
@@ -8,7 +7,6 @@ from repro.core.merge import (
     merge_group_exact,
     merge_group_superjaccard,
     merge_threshold,
-    pick_schedule,
     super_jaccard,
 )
 from repro.core.partition import SupernodePartition
@@ -130,22 +128,6 @@ class TestMergeStatsAccumulation:
         a += MergeStats(merges=2, candidates_scored=7)
         assert a.merges == 3
         assert a.candidates_scored == 12
-
-
-class TestPickSchedule:
-    def test_batched_draw_matches_scalar_stream(self):
-        """``pick_schedule`` (``rng.integers(arange(n, 0, -1))``) must equal
-        n scalar draws, values and final generator state; the merge loop's
-        bit-identity with earlier runs rests on it."""
-        for seed in range(50):
-            for n in range(1, 65):
-                batched = np.random.default_rng([seed, n])
-                scalar = np.random.default_rng([seed, n])
-                picks = pick_schedule(batched, n)
-                expected = [int(scalar.integers(k)) for k in range(n, 0, -1)]
-                assert picks == expected, (seed, n)
-                assert (batched.bit_generator.state
-                        == scalar.bit_generator.state), (seed, n)
 
 
 class TestWTableAmortization:

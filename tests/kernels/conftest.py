@@ -3,21 +3,6 @@
 import pytest
 
 from repro.graph import datasets
-from repro.kernels.shm import leaked_segments
-
-
-@pytest.fixture(autouse=True)
-def shm_leak_sentinel():
-    """Fail any test in this package that leaves an arena segment behind.
-
-    Runs after *every* kernel test — including the SIGKILL chaos cases —
-    so a cleanup regression is pinned to the test that caused it instead
-    of surfacing as a mystery ENOSPC later.
-    """
-    before = set(leaked_segments())
-    yield
-    fresh = [name for name in leaked_segments() if name not in before]
-    assert fresh == [], f"test leaked shared-memory segments: {fresh}"
 
 
 @pytest.fixture(scope="session")

@@ -4,13 +4,20 @@
 corresponding row of the bulk path — for **every** densification mode and
 **both** bulk backends, including the all-``EMPTY`` isolated-node sentinel
 (rows with no items) and the termination-hostile cases where the optimal
-probe step shares a factor with ``k`` (``69_069 ≡ 0 mod 3``).
+probe step shares a factor with ``k`` (``69_069 ≡ 0 mod 3``). The
+chunked scatter's ``chunk_rows`` seam is checked at chunk sizes of 1, a
+small prime and beyond the entry count.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.kernels.doph import (
+    doph_densify,
+    doph_scatter_min,
+    doph_signatures_bulk_python,
+)
 from repro.lsh.doph import EMPTY, doph_signature, doph_signatures_bulk
 from repro.lsh.permutation import random_permutation
 
@@ -115,3 +122,42 @@ class TestScalarMatchesBulk:
             )
             assert np.array_equal(bulk[0], scalar)
             assert np.all(scalar >= 0)
+
+
+#: Chunk sizes for the scatter seam: one entry per chunk, a small prime
+#: that leaves a ragged last chunk, and one chunk holding every entry.
+CHUNK_ROWS = (1, 7, 10_000)
+
+
+class TestChunkedScatter:
+    @given(inputs=bulk_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_any_chunking_matches_unchunked(self, inputs):
+        row_ids, item_ids, num_rows, perm, k, _ = inputs
+        unchunked = doph_scatter_min(row_ids, item_ids, num_rows, perm, k)
+        for chunk_rows in CHUNK_ROWS:
+            chunked = doph_scatter_min(
+                row_ids, item_ids, num_rows, perm, k, chunk_rows=chunk_rows
+            )
+            assert np.array_equal(chunked, unchunked), chunk_rows
+
+    @given(inputs=bulk_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_matches_python_reference(self, inputs):
+        row_ids, item_ids, num_rows, perm, k, directions = inputs
+        for densification in DENSIFICATIONS:
+            reference = doph_signatures_bulk_python(
+                row_ids, item_ids, num_rows, perm, k, directions,
+                densification=densification,
+            )
+            for chunk_rows in CHUNK_ROWS:
+                flat = doph_scatter_min(
+                    row_ids, item_ids, num_rows, perm, k,
+                    chunk_rows=chunk_rows,
+                )
+                signatures = doph_densify(
+                    flat, num_rows, k, directions, densification
+                )
+                assert np.array_equal(signatures, reference), (
+                    chunk_rows, densification,
+                )

@@ -105,17 +105,14 @@ def test_serial_golden(dataset_cache, case, backend):
 
 
 @pytest.mark.skipif(not fork_available, reason="fork start method required")
-@pytest.mark.parametrize("shared_memory", ["off", "on"])
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", sorted(MULTIPROCESS_GOLDEN))
-def test_multiprocess_golden(dataset_cache, case, backend, shared_memory):
-    """One pin for both transports: the zero-copy shared-memory path must
-    reproduce the pickle path's summaries bit-for-bit."""
+def test_multiprocess_golden(dataset_cache, case, backend):
     name, k, iterations, seed = case
     graph = dataset_cache(name)
     summary = MultiprocessLDME(
         num_workers=2, k=k, iterations=iterations, seed=seed,
-        kernels=backend, shared_memory=shared_memory,
+        kernels=backend,
     ).summarize(graph)
     assert _shape(summary) == MULTIPROCESS_GOLDEN[case]
     verify_lossless(graph, summary)
@@ -135,19 +132,16 @@ def test_serial_analytics_golden(dataset_cache, case, backend):
 
 
 @pytest.mark.skipif(not fork_available, reason="fork start method required")
-@pytest.mark.parametrize("shared_memory", ["off", "on"])
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", sorted(MULTIPROCESS_ANALYTICS_GOLDEN))
-def test_multiprocess_analytics_golden(dataset_cache, case, backend,
-                                       shared_memory):
-    """Same pins through the multiprocess planner, for both transports:
-    pickle and the zero-copy shared-memory arena must produce summaries
-    whose analytics (values and bounds) match bit-for-bit."""
+def test_multiprocess_analytics_golden(dataset_cache, case, backend):
+    """Same pins through the multiprocess planner: analytics (values and
+    bounds) of its summaries match bit-for-bit."""
     name, k, iterations, seed = case
     graph = dataset_cache(name)
     summary = MultiprocessLDME(
         num_workers=2, k=k, iterations=iterations, seed=seed,
-        kernels=backend, shared_memory=shared_memory,
+        kernels=backend,
     ).summarize(graph)
     assert _analytics_pin(summary) == MULTIPROCESS_ANALYTICS_GOLDEN[case]
 

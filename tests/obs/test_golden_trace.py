@@ -159,21 +159,17 @@ class TestGoldenSerial:
 
 
 class TestGoldenMultiprocess:
-    def make_mp(self, **kwargs):
-        kwargs.setdefault("shared_memory", "off")
+    def make_mp(self):
         return MultiprocessLDME(
             num_workers=2, k=4, iterations=ITERATIONS, seed=SEED,
-            batch_timeout=120.0, **kwargs,
+            batch_timeout=120.0,
         )
 
-    @pytest.mark.parametrize("shared_memory", ["off", "on"])
-    def test_batches_parent_under_merge_and_rerun_identical(
-        self, shared_memory
-    ):
+    def test_batches_parent_under_merge_and_rerun_identical(self):
         graph = small_graph()
         a = Tracer(seed=SEED)
         with obs_trace.use(a):
-            self.make_mp(shared_memory=shared_memory).summarize(graph)
+            self.make_mp().summarize(graph)
         merge_ids = {s.span_id for s in a.find("merge")}
         batches = a.find("group_batch")
         assert batches, "worker batches must ship spans back"
@@ -184,21 +180,18 @@ class TestGoldenMultiprocess:
         # second run reproduces the tree exactly.
         b = Tracer(seed=SEED)
         with obs_trace.use(b):
-            self.make_mp(shared_memory=shared_memory).summarize(graph)
+            self.make_mp().summarize(graph)
         assert a.tree() == b.tree()
         assert id_set(a) == id_set(b)
 
-    @pytest.mark.parametrize("shared_memory", ["off", "on"])
-    def test_iteration_skeleton_matches_serial_shape(self, shared_memory):
+    def test_iteration_skeleton_matches_serial_shape(self):
         # Everything except batch fan-out is shared driver code, so the
         # (run → iteration → divide/merge/encode) skeleton is identical
-        # in shape to the serial golden tree — plus, under the
-        # shared-memory transport, one "arena" span per merge recording
-        # the segment setup.
+        # in shape to the serial golden tree.
         graph = small_graph()
         tracer = Tracer(seed=SEED)
         with obs_trace.use(tracer):
-            self.make_mp(shared_memory=shared_memory).summarize(graph)
+            self.make_mp().summarize(graph)
 
         def strip_batches(nodes):
             return tuple(
@@ -208,53 +201,15 @@ class TestGoldenMultiprocess:
             )
 
         div = (("signatures", "sig", ()),)
-
-        def mrg(t):
-            if shared_memory == "on":
-                return (("arena", t, ()),)
-            return ()
-
         expected = (
             ("run", f"LDME4-mp2/{SEED}", (
                 ("encode", "final", ()),
-                ("iteration", 1, (("divide", 1, div), ("merge", 1, mrg(1)))),
-                ("iteration", 2, (("divide", 2, div), ("merge", 2, mrg(2)))),
-                ("iteration", 3, (("divide", 3, div), ("merge", 3, mrg(3)))),
+                ("iteration", 1, (("divide", 1, div), ("merge", 1, ()))),
+                ("iteration", 2, (("divide", 2, div), ("merge", 2, ()))),
+                ("iteration", 3, (("divide", 3, div), ("merge", 3, ()))),
             )),
         )
         assert strip_batches(tracer.tree()) == expected
-
-    def test_arena_spans_carry_segment_bytes(self):
-        graph = small_graph()
-        tracer = Tracer(seed=SEED)
-        with obs_trace.use(tracer):
-            self.make_mp(shared_memory="on").summarize(graph)
-        arenas = tracer.find("arena")
-        assert len(arenas) == ITERATIONS
-        for arena in arenas:
-            assert arena.attributes["graph_bytes"] > 0
-            assert arena.attributes["merge_bytes"] > 0
-            assert arena.attributes["groups"] > 0
-
-    def test_scatter_fanout_span_under_signatures(self):
-        # Force the parallel DOPH scatter (gated on graph size) and pin
-        # its span: one "scatter" child per signatures span, keyed
-        # "fanout", recording the partition count and attach total.
-        graph = small_graph()
-        algo = self.make_mp(shared_memory="on")
-        algo.signature_fanout_min_nnz = 0
-        tracer = Tracer(seed=SEED)
-        with obs_trace.use(tracer):
-            algo.summarize(graph)
-        signature_ids = {s.span_id for s in tracer.find("signatures")}
-        scatters = tracer.find("scatter")
-        assert len(scatters) == ITERATIONS
-        for scatter in scatters:
-            assert scatter.key == "fanout"
-            assert scatter.parent_id in signature_ids
-            assert scatter.attributes["parts"] >= 1
-            assert scatter.attributes["nnz"] > 0
-            assert scatter.attributes["attaches"] >= 1
 
 
 class Interrupt(Exception):

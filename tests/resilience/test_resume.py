@@ -122,6 +122,29 @@ class TestInProcessResume:
         second = run_resumable(make_algo(), graph, tmp_path / "c")
         assert_identical(first, second)
 
+    def test_checkpoint_with_retired_stats_field_resumes(self, tmp_path):
+        # Checkpoints written before the shared-memory transport was
+        # removed carry a "shm_fallbacks" counter that RunStats no longer
+        # defines; stats never steer the trajectory, so the resume must
+        # accept the payload and stay bit-identical.
+        graph = small_graph()
+        baseline = make_algo().summarize(graph)
+        manager = CheckpointManager(tmp_path / "c")
+
+        def boom(state):
+            if state.iteration == 2:
+                raise Interrupt()
+
+        with pytest.raises(Interrupt):
+            run_resumable(make_algo(), graph, manager, iteration_hook=boom)
+        loaded = manager.load_latest()
+        assert loaded.iteration == 2
+        payload = loaded.payload
+        payload["stats"]["shm_fallbacks"] = 0
+        manager.save(loaded.iteration, payload)
+        resumed = run_resumable(make_algo(), graph, manager)
+        assert_identical(resumed, baseline)
+
     def test_early_stop_resume(self, tmp_path):
         graph = small_graph()
 
