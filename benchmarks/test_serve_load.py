@@ -15,8 +15,8 @@ from repro.serve import ServerConfig, ServerThread, run_load
 def test_serve_load_report(benchmark, dataset_cache):
     graph = dataset_cache("CN")
     summary = LDME(k=5, iterations=10, seed=0).summarize(graph)
-    config = ServerConfig(batch_window=0.002, max_batch=256,
-                          cache_entries=8192, log_interval=0)
+    config = ServerConfig(max_batch=256, cache_entries=8192,
+                          log_interval=0)
 
     def measure():
         with ServerThread(summary, config) as handle:

@@ -23,7 +23,7 @@ def main() -> None:
     print(f"graph: {graph.num_nodes} nodes / {graph.num_edges} edges, "
           f"compression {summary.compression:.3f}\n")
 
-    config = ServerConfig(port=0, batch_window=0.002, cache_entries=4096,
+    config = ServerConfig(port=0, cache_entries=4096,
                           log_interval=0)
     with ServerThread(summary, config) as handle:
         print(f"server listening on 127.0.0.1:{handle.port}")

@@ -206,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=7421,
                        help="listen port (0 = ephemeral)")
-    p_srv.add_argument("--batch-window", type=float, default=0.002,
-                       help="seconds to coalesce queries into one batch")
     p_srv.add_argument("--max-batch", type=int, default=128)
     p_srv.add_argument("--cache-size", type=int, default=4096,
                        help="LRU result-cache entries (0 disables)")
@@ -809,7 +807,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServerConfig(
         host=args.host,
         port=args.port,
-        batch_window=args.batch_window,
         max_batch=args.max_batch,
         cache_entries=args.cache_size,
         max_pending=args.max_pending,

@@ -169,6 +169,14 @@ class MetricsRegistry:
                 hist = series[key] = Histogram()
             hist.observe(value)
 
+    def declare(
+        self, name: str, *, labels: Optional[Dict[str, object]] = None,
+    ) -> None:
+        """Register histogram ``name`` empty, so it renders before use."""
+        with self._lock:
+            self._histograms.setdefault(name, {}).setdefault(
+                _label_key(labels), Histogram())
+
     def histogram(
         self, name: str, *, labels: Optional[Dict[str, object]] = None,
     ) -> Optional[Histogram]:

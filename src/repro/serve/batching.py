@@ -1,7 +1,7 @@
 """Batch execution of coalesced queries against a compiled index.
 
-The server collects requests that arrive within one batching window and
-hands them to :func:`execute_batch` as a single list. The executor:
+The server hands every query queued while the previous batch ran (up to
+``max_batch``) to :func:`execute_batch` as a single list. The executor:
 
 * answers what it can from the :class:`~repro.serve.cache.LRUCache`
   (``degree`` and ``neighbors`` share one cache entry);

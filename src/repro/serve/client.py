@@ -12,8 +12,8 @@ Non-retryable server errors surface immediately as :class:`ServerError`
 with the typed code from the wire.
 
 :meth:`SummaryClient.neighbors_many` pipelines many requests on one
-connection before reading any response — the natural way to feed the
-server's batching window from a single client.
+connection before reading any response — the natural way to form
+server-side batches from a single client.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ length-prefixed JSON protocol in :mod:`repro.serve.protocol`. The design
 is a miniature inference server:
 
 * **Batching** — query requests land in a queue; a single batcher task
-  sleeps ``batch_window`` seconds after the first arrival, then drains up
-  to ``max_batch`` items and executes them as one vectorized pass in a
-  worker thread (:func:`repro.serve.batching.execute_batch`). Responses
-  return out of order; clients match on request id.
+  pops up to ``max_batch`` items as soon as the executor is free and runs
+  them as one vectorized pass in a worker thread
+  (:func:`repro.serve.batching.execute_batch`). Whatever arrives while a
+  batch runs forms the next one, so batches grow only under concurrency.
+  Responses return out of order; clients match on request id.
 * **Caching** — results are memoized in an LRU bounded by
   ``cache_entries``; a hot-swap invalidates it atomically.
 * **Admission control** — at most ``max_pending`` queries may be queued
@@ -50,7 +51,7 @@ from typing import Any, Deque, Dict, Optional, Tuple, Union
 from ..core.summary import Summarization
 from ..obs import trace as obs_trace
 from ..queries.compiled import CompiledSummaryIndex
-from .batching import execute_batch
+from .batching import cache_key, execute_batch, from_cached
 from .cache import LRUCache
 from .metrics import MetricsRegistry
 from .protocol import (
@@ -82,7 +83,6 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0                      # 0 = ephemeral, see SummaryServer.port
-    batch_window: float = 0.002        # coalescing window (seconds)
     max_batch: int = 128               # queries per vectorized pass
     cache_entries: int = 4096          # LRU bound (0 disables caching)
     max_pending: int = 1024            # queued+executing admission bound
@@ -98,8 +98,6 @@ class ServerConfig:
                                        # (best-effort) requests are shed
 
     def __post_init__(self) -> None:
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be non-negative")
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         if self.max_pending < 1:
@@ -110,8 +108,8 @@ class ServerConfig:
             raise ValueError("shed_fraction must be in (0, 1]")
 
 
-#: (op, args, future, absolute loop-time deadline or None)
-_Item = Tuple[str, Dict[str, Any], "asyncio.Future", Optional[float]]
+#: (op, args, future, absolute loop-time deadline or None, enqueue time)
+_Item = Tuple[str, Dict[str, Any], "asyncio.Future", Optional[float], float]
 
 
 class SummaryServer:
@@ -140,6 +138,9 @@ class SummaryServer:
         )
         self.cache = LRUCache(self.config.cache_entries)
         self.metrics = MetricsRegistry()
+        for stage in ("queue", "execute"):
+            self.metrics.declare("stage_seconds",
+                                 labels={"stage": stage})
         self._queue: Deque[_Item] = deque()
         self._pending = 0              # queued + executing queries
         self._wakeup: Optional[asyncio.Event] = None
@@ -366,24 +367,28 @@ class SummaryServer:
         return self._degraded
 
     def _degraded_answer(
-        self, op: str, args: Dict[str, Any]
-    ) -> Optional[Tuple[Any, bool]]:
-        """A ``(result, stale)`` cached answer, or ``None`` on a miss.
+        self, rid: int, op: str, args: Dict[str, Any]
+    ) -> Optional[Dict[str, Any]]:
+        """A cached answer's response, or ``None`` on a miss (always
+        ``None`` unless ``degraded_enabled``).
 
         The live cache is consulted first (current generation — correct,
         not stale); then the pre-swap snapshot (flagged stale).
         """
-        from .batching import cache_key, from_cached
-
-        key = cache_key(op, args)
+        key = cache_key(op, args) if self.config.degraded_enabled else None
         if key is None:
             return None
         hit, value = self.cache.get(key)
         if hit:
-            return from_cached(op, value), False
-        if key in self._stale_cache:
-            return from_cached(op, self._stale_cache[key]), True
-        return None
+            stale = False
+        elif key in self._stale_cache:
+            stale, value = True, self._stale_cache[key]
+        else:
+            return None
+        self.metrics.inc("degraded_served_total", labels={"op": op})
+        if stale:
+            self.metrics.inc("stale_served_total")
+        return ok_response(rid, from_cached(op, value), stale=stale)
 
     # ------------------------------------------------------------------
     # introspection
@@ -579,17 +584,10 @@ class SummaryServer:
         code: str, message: str,
     ) -> Dict[str, Any]:
         """Overload path: a cached (possibly stale) answer, or the error."""
-        if self.config.degraded_enabled:
-            answer = self._degraded_answer(op, args)
-            if answer is not None:
-                result, stale = answer
-                self.metrics.inc(
-                    "degraded_served_total", labels={"op": op}
-                )
-                if stale:
-                    self.metrics.inc("stale_served_total")
-                return ok_response(rid, result, stale=stale)
-        raise RequestError(code, message)
+        answer = self._degraded_answer(rid, op, args)
+        if answer is None:
+            raise RequestError(code, message)
+        return answer
 
     async def _handle_query(
         self,
@@ -622,18 +620,9 @@ class SummaryServer:
         if self._degraded:
             # Rolling swap in progress: prefer an immediate cached answer
             # over queueing behind the swap (misses still run normally).
-            answer = (
-                self._degraded_answer(op, args)
-                if self.config.degraded_enabled else None
-            )
+            answer = self._degraded_answer(rid, op, args)
             if answer is not None:
-                result, stale = answer
-                self.metrics.inc(
-                    "degraded_served_total", labels={"op": op}
-                )
-                if stale:
-                    self.metrics.inc("stale_served_total")
-                return ok_response(rid, result, stale=stale)
+                return answer
         loop = asyncio.get_running_loop()
         deadline: Optional[float] = None
         wait_timeout = self.config.request_timeout
@@ -642,7 +631,7 @@ class SummaryServer:
             wait_timeout = min(wait_timeout, max(deadline_ms / 1000.0, 1e-4))
         future: asyncio.Future = loop.create_future()
         self._pending += 1
-        self._queue.append((op, args, future, deadline))
+        self._queue.append((op, args, future, deadline, loop.time()))
         self.metrics.set_gauge("queue_depth", len(self._queue))
         self._wakeup.set()
         try:
@@ -673,15 +662,12 @@ class SummaryServer:
         loop = asyncio.get_running_loop()
         while True:
             await self._wakeup.wait()
-            if not self._queue:
-                self._wakeup.clear()
-                continue
-            if self.config.batch_window > 0:
-                await asyncio.sleep(self.config.batch_window)
             batch: list = []
             now = loop.time()
             while self._queue and len(batch) < self.config.max_batch:
                 item = self._queue.popleft()
+                self.metrics.observe("stage_seconds", now - item[4],
+                                     labels={"stage": "queue"})
                 deadline = item[3]
                 if deadline is not None and now > deadline:
                     # Deadline propagation: expired work is rejected here,
@@ -704,8 +690,9 @@ class SummaryServer:
             if not batch:
                 continue
             index = self._index     # capture: immune to concurrent swap
-            queries = [(op, args) for op, args, _, _ in batch]
+            queries = [(op, args) for op, args, _, _, _ in batch]
             self.metrics.set_gauge("inflight", len(batch))
+            started = time.perf_counter()
             # A no-op unless a tracer is installed (the --trace CLI knob);
             # batch spans key on their per-parent occurrence index.
             with obs_trace.span("serve_batch", size=len(batch)):
@@ -721,7 +708,10 @@ class SummaryServer:
                     ] * len(batch)
                 finally:
                     self.metrics.set_gauge("inflight", 0)
-            for (_, _, future, _), outcome in zip(batch, outcomes):
+            self.metrics.observe("stage_seconds",
+                                 time.perf_counter() - started,
+                                 labels={"stage": "execute"})
+            for (_, _, future, _, _), outcome in zip(batch, outcomes):
                 self._pending -= 1
                 if not future.done():
                     future.set_result(outcome)

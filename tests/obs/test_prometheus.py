@@ -215,7 +215,7 @@ def live_server():
         web_host_graph(num_hosts=4, host_size=8, seed=2)
     )
     config = ServerConfig(
-        port=0, metrics_port=0, log_interval=0, batch_window=0.001
+        port=0, metrics_port=0, log_interval=0
     )
     with ServerThread(summary, config) as handle:
         yield handle
@@ -273,6 +273,42 @@ class TestServedMetrics:
         assert types.get("repro_serve_request_latency_seconds") == "summary"
 
 
+class TestServerStageConformance:
+    """The queue-vs-execute split: ``stage_seconds{stage=...}`` summary
+    rows, zero-registered at construction so they render before the
+    first query, then counting enqueue→pop and executor calls."""
+
+    def test_stage_rows_zero_registered(self):
+        from repro.serve import SummaryServer
+
+        summary = LDME(k=4, iterations=2, seed=1).summarize(
+            web_host_graph(num_hosts=2, host_size=6, seed=2)
+        )
+        types, samples = assert_conformant(
+            SummaryServer(summary).prometheus()
+        )
+        assert types["repro_serve_stage_seconds"] == "summary"
+        counts = {
+            s[1]["stage"]: s[2] for s in samples
+            if s[0] == "repro_serve_stage_seconds_count"
+        }
+        assert counts == {"queue": 0, "execute": 0}
+
+    def test_stage_rows_after_traffic(self, live_server):
+        client = SummaryClient("127.0.0.1", live_server.port)
+        try:
+            client.neighbors(1)
+            _, samples = assert_conformant(client.metrics_text())
+        finally:
+            client.close()
+        counts = {
+            s[1]["stage"]: s[2] for s in samples
+            if s[0] == "repro_serve_stage_seconds_count"
+        }
+        # One queue observation per query, one execute per batch.
+        assert counts["queue"] >= counts["execute"] >= 1
+
+
 class TestShardMetricsConformance:
     """The shard-aware serving metrics render conformantly: per-shard
     generation gauges, the scatter fanout counter, and the
@@ -290,7 +326,7 @@ class TestShardMetricsConformance:
         )
         with SummaryCluster.from_manifest(
             result.manifest, replicas=1,
-            config=ServerConfig(batch_window=0.001),
+            config=ServerConfig(),
         ) as cluster:
             yield cluster
 

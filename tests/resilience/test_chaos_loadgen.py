@@ -25,7 +25,7 @@ class TestChaosLoad:
     def test_queries_complete_under_chaos(self, summary):
         """Forced reconnects + garbage frames mid-load: every query still
         completes, the server stays up, and chaos events are counted."""
-        config = ServerConfig(batch_window=0.001)
+        config = ServerConfig()
         with ServerThread(summary, config) as handle:
             report = run_load(
                 "127.0.0.1", handle.port,
@@ -44,7 +44,7 @@ class TestChaosLoad:
             assert "chaos" in report.format()
 
     def test_no_chaos_reports_zero(self, summary):
-        config = ServerConfig(batch_window=0.001)
+        config = ServerConfig()
         with ServerThread(summary, config) as handle:
             report = run_load(
                 "127.0.0.1", handle.port,

@@ -134,7 +134,7 @@ class TestServeRejection:
         flip_bit(bad_path)
 
         truth = SummaryIndex(summary)
-        config = ServerConfig(batch_window=0.001, allow_reload=True)
+        config = ServerConfig(allow_reload=True)
         with ServerThread(summary, config) as handle:
             client = SummaryClient("127.0.0.1", handle.port)
             try:
@@ -166,7 +166,7 @@ class TestServeRejection:
         good_path = tmp_path / "good.ldmeb"
         write_summary_binary(summary, good_path)
 
-        config = ServerConfig(batch_window=0.001, allow_reload=True)
+        config = ServerConfig(allow_reload=True)
         with ServerThread(summary, config) as handle:
             client = SummaryClient("127.0.0.1", handle.port)
             try:

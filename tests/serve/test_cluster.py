@@ -50,7 +50,7 @@ def cluster(summary):
     with SummaryCluster(
         summary,
         replicas=3,
-        config=ServerConfig(batch_window=0.001, degraded_enabled=True),
+        config=ServerConfig(degraded_enabled=True),
     ) as cluster:
         yield cluster
 
@@ -357,21 +357,25 @@ class TestDeadlinePropagation:
         finally:
             client.shutdown()
 
-    def test_queued_past_deadline_rejected_never_executed(self, summary):
+    def test_queued_past_deadline_rejected_never_executed(
+        self, summary, batch_hold
+    ):
         """A request whose deadline expires in the server queue is
         answered ``deadline_exceeded`` at queue-pop and never reaches the
         index — proven by the server's own counters."""
-        config = ServerConfig(batch_window=0.3, degraded_enabled=False)
-        with ServerThread(summary, config) as handle:
+        config = ServerConfig(degraded_enabled=False)
+        with ServerThread(summary, config) as handle, batch_hold:
+            batch_hold.occupy(handle.port)
             client = SummaryClient("127.0.0.1", handle.port, retries=0)
             try:
                 with pytest.raises(ServerError) as excinfo:
-                    # 5ms budget, 300ms batching window: expires queued.
+                    # 5ms budget behind a held batch: expires queued.
                     client.call("neighbors", {"v": 0}, deadline_ms=5)
                 assert excinfo.value.code == ErrorCode.DEADLINE_EXCEEDED
                 metrics = handle.server.metrics
-                # The batcher discards the expired item when its window
-                # fires (after the client already has its error).
+                # The batcher discards the expired item once the held
+                # batch finishes (after the client already has its error).
+                batch_hold.release()
                 until = time.time() + 5
                 while (metrics.counter("deadline_expired_total") < 1
                        and time.time() < until):
@@ -386,10 +390,10 @@ class TestDeadlinePropagation:
                 client.close()
 
     def test_deadline_exceeded_is_not_retried_and_not_a_breaker_failure(
-        self, summary
+        self, summary, batch_hold
     ):
-        config = ServerConfig(batch_window=0.3)
-        with ServerThread(summary, config) as handle:
+        with ServerThread(summary, ServerConfig()) as handle, batch_hold:
+            batch_hold.occupy(handle.port)
             client = ClusterClient([("127.0.0.1", handle.port)])
             try:
                 with pytest.raises(ServerError):
@@ -409,19 +413,19 @@ class TestDeadlinePropagation:
 
 
 class TestLoadShedding:
-    def test_best_effort_queries_shed_before_normal_ones(self, summary):
-        config = ServerConfig(
-            batch_window=0.5, max_pending=2, shed_fraction=0.5,
-        )
-        with ServerThread(summary, config) as handle:
+    def test_best_effort_queries_shed_before_normal_ones(
+        self, summary, batch_hold
+    ):
+        config = ServerConfig(max_pending=2, shed_fraction=0.5)
+        with ServerThread(summary, config) as handle, batch_hold:
             with socket.create_connection(
                 ("127.0.0.1", handle.port), timeout=10.0
             ) as sock:
-                # Request 1 sits in the 0.5s batching window (pending=1,
+                # Request 1 is held in the batch executor (pending=1,
                 # at the shed threshold of 1)...
                 send_frame(sock, {"id": 1, "op": "degree",
                                   "args": {"v": 0}})
-                time.sleep(0.05)
+                assert batch_hold.entered.wait(timeout=10)
                 # ...so a best-effort request is shed immediately...
                 send_frame(sock, {"id": 2, "op": "degree",
                                   "args": {"v": 0}, "priority": 2})
@@ -432,6 +436,8 @@ class TestLoadShedding:
                 while len(responses) < 3:
                     frame = recv_frame(sock)
                     responses[frame["id"]] = frame
+                    # The first reply is the shed one: let 1 and 3 run.
+                    batch_hold.release()
             assert responses[1]["ok"]
             assert responses[3]["ok"]
             assert not responses[2]["ok"]
@@ -441,13 +447,13 @@ class TestLoadShedding:
             ) == 1
 
     def test_critical_priority_never_shed_by_the_shed_threshold(
-        self, summary
+        self, summary, batch_hold
     ):
-        config = ServerConfig(
-            batch_window=0.2, max_pending=10, shed_fraction=0.1,
-        )
-        with ServerThread(summary, config) as handle:
+        config = ServerConfig(max_pending=10, shed_fraction=0.1)
+        with ServerThread(summary, config) as handle, batch_hold:
+            batch_hold.occupy(handle.port)     # pending=1: at threshold
             client = SummaryClient("127.0.0.1", handle.port, retries=0)
+            batch_hold.release_after(0.1)
             try:
                 # priority 0 sails through even with shed threshold 1.
                 assert client.call("degree", {"v": 0}, priority=0) >= 0
@@ -459,7 +465,7 @@ class TestDegradedMode:
     def test_degraded_replica_serves_stale_flagged_answers(
         self, summary, truth
     ):
-        config = ServerConfig(batch_window=0.001, degraded_enabled=True)
+        config = ServerConfig(degraded_enabled=True)
         with ServerThread(summary, config) as handle:
             client = SummaryClient("127.0.0.1", handle.port)
             try:
@@ -481,7 +487,7 @@ class TestDegradedMode:
     def test_degraded_miss_falls_through_to_live_execution(
         self, summary, truth
     ):
-        config = ServerConfig(batch_window=0.001, degraded_enabled=True)
+        config = ServerConfig(degraded_enabled=True)
         with ServerThread(summary, config) as handle:
             client = SummaryClient("127.0.0.1", handle.port)
             try:

@@ -59,8 +59,7 @@ class TestClusterChaos:
         with SummaryCluster(
             summary,
             replicas=3,
-            config=ServerConfig(batch_window=0.001,
-                                degraded_enabled=True),
+            config=ServerConfig(degraded_enabled=True),
         ) as cluster:
             client = cluster.client(
                 timeout=2.0,

@@ -53,7 +53,7 @@ def new_manifest(graph, tmp_path_factory):
 def cluster(old_manifest):
     with SummaryCluster.from_manifest(
         old_manifest, replicas=1,
-        config=ServerConfig(batch_window=0.001),
+        config=ServerConfig(),
     ) as cluster:
         yield cluster
 
@@ -171,7 +171,7 @@ class TestGenerationCutover:
     def test_stop_reaps_staged_and_retired(self, old_manifest, new_manifest):
         cluster = SummaryCluster.from_manifest(
             old_manifest, replicas=1,
-            config=ServerConfig(batch_window=0.001),
+            config=ServerConfig(),
         )
         cluster.start()
         cluster.prepare_generation(new_manifest)

@@ -114,7 +114,7 @@ class TestReshardChaos:
 
         with SummaryCluster.from_manifest(
             manifest, replicas=2,
-            config=ServerConfig(batch_window=0.001),
+            config=ServerConfig(),
         ) as cluster:
             client = cluster.client(timeout=2.0, breaker_recovery=0.3)
             client.start_health_checks(interval=0.1, probe_timeout=1.0)

@@ -40,13 +40,12 @@ def truth(summary):
 
 @pytest.fixture
 def handle(summary):
-    with ServerThread(summary, ServerConfig(batch_window=0.001)) as handle:
+    with ServerThread(summary, ServerConfig()) as handle:
         yield handle
 
 
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"batch_window": -0.1},
         {"max_batch": 0},
         {"max_pending": 0},
         {"request_timeout": 0},
@@ -146,10 +145,55 @@ class TestEndToEnd:
         client.close()
 
 
+class TestQueueDrivenBatching:
+    def test_lone_request_runs_at_once_as_batch_of_one(self, handle, truth):
+        client = SummaryClient("127.0.0.1", handle.port)
+        assert client.neighbors(3) == truth.neighbors(3)
+        client.close()
+        metrics = handle.server.metrics
+        assert metrics.counter("batches_total") == 1
+        sizes = metrics.histogram("batch_size")
+        assert (sizes.count, sizes.total) == (1, 1)
+        for stage in ("queue", "execute"):
+            assert metrics.histogram(
+                "stage_seconds", labels={"stage": stage}
+            ).count == 1
+
+    def test_queue_drains_in_batches_capped_by_max_batch(
+        self, summary, truth, batch_hold
+    ):
+        max_batch, n = 8, 13
+        config = ServerConfig(max_batch=max_batch)
+        with ServerThread(summary, config) as handle, batch_hold:
+            batch_hold.occupy(handle.port)          # batch 1, held
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=10.0
+            ) as sock:
+                for v in range(n):
+                    send_frame(sock, {"id": v, "op": "degree",
+                                      "args": {"v": v}})
+                batch_hold.wait_pending(handle.server, n + 1)
+                assert handle.server.health()["queue_depth"] == n
+                batch_hold.release()
+                answers = {}
+                while len(answers) < n:
+                    frame = recv_frame(sock)
+                    answers[frame["id"]] = frame["result"]
+            assert answers == {v: truth.degree(v) for v in range(n)}
+            metrics = handle.server.metrics
+            assert metrics.counter("batches_total") == 3
+            sizes = metrics.histogram("batch_size")
+            assert sizes.count == 3
+            assert [sizes.percentile(q) for q in (0, 50, 100)] == \
+                [1, n - max_batch, max_batch]
+
+
 class TestRobustness:
-    def test_backpressure_rejects_with_overloaded(self, summary):
-        config = ServerConfig(batch_window=0.5, max_pending=1)
-        with ServerThread(summary, config) as handle:
+    def test_backpressure_rejects_with_overloaded(self, summary,
+                                                  batch_hold):
+        config = ServerConfig(max_pending=1)
+        with ServerThread(summary, config) as handle, batch_hold:
+            batch_hold.occupy(handle.port)     # the one pending slot
             client = SummaryClient("127.0.0.1", handle.port, retries=0)
             with pytest.raises(ServerError) as excinfo:
                 client.neighbors_many(range(16))
@@ -157,10 +201,9 @@ class TestRobustness:
             assert excinfo.value.retryable
             client.close()
 
-    @pytest.mark.slow
-    def test_request_timeout_is_typed_error(self, summary):
-        config = ServerConfig(batch_window=2.0, request_timeout=0.05)
-        with ServerThread(summary, config) as handle:
+    def test_request_timeout_is_typed_error(self, summary, batch_hold):
+        config = ServerConfig(request_timeout=0.05)
+        with ServerThread(summary, config) as handle, batch_hold:
             client = SummaryClient("127.0.0.1", handle.port, retries=0)
             with pytest.raises(ServerError) as excinfo:
                 client.neighbors(0)
@@ -204,8 +247,9 @@ class TestRobustness:
             client.ping()
         assert client.retries_used == 2
 
-    def test_graceful_shutdown_drains_inflight(self, summary, truth):
-        config = ServerConfig(batch_window=0.05, max_batch=8)
+    def test_graceful_shutdown_drains_inflight(self, summary, truth,
+                                               batch_hold):
+        config = ServerConfig(max_batch=8)
         handle = ServerThread(summary, config).start()
         results = {}
 
@@ -216,7 +260,10 @@ class TestRobustness:
 
         thread = threading.Thread(target=pipeline)
         thread.start()
-        time.sleep(0.02)          # let requests land in the queue
+        # Hold the first batch until all 40 requests are admitted, so
+        # the stop below finds work both executing and queued.
+        batch_hold.wait_pending(handle.server, 40)
+        batch_hold.release_after(0.05)
         handle.stop()             # must drain, not drop
         thread.join(timeout=30)
         assert not thread.is_alive()
@@ -264,8 +311,7 @@ class TestHotSwap:
         client.close()
 
     def test_swap_invalidates_cache(self, summary):
-        with ServerThread(summary, ServerConfig(batch_window=0.001)) \
-                as handle:
+        with ServerThread(summary, ServerConfig()) as handle:
             client = SummaryClient("127.0.0.1", handle.port)
             client.neighbors(0)
             client.neighbors(0)
@@ -291,7 +337,7 @@ class TestHotSwap:
         path = tmp_path / "next.ldmeb"
         write_summary_binary(summary2, path)
 
-        config = ServerConfig(batch_window=0.001, allow_reload=True)
+        config = ServerConfig(allow_reload=True)
         with ServerThread(summary, config) as handle:
             client = SummaryClient("127.0.0.1", handle.port)
             result = client.reload(str(path))

@@ -57,8 +57,7 @@ class TestShardChaos:
         with SummaryCluster.from_manifest(
             run.manifest,
             replicas=2,
-            config=ServerConfig(batch_window=0.001,
-                                degraded_enabled=True),
+            config=ServerConfig(degraded_enabled=True),
         ) as cluster:
             client = cluster.client(
                 timeout=2.0,

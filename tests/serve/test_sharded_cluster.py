@@ -46,7 +46,7 @@ def truth(run):
 def cluster(run):
     with SummaryCluster.from_manifest(
         run.manifest, replicas=2,
-        config=ServerConfig(batch_window=0.001, degraded_enabled=True),
+        config=ServerConfig(degraded_enabled=True),
     ) as cluster:
         yield cluster
 

@@ -319,7 +319,6 @@ class TestServeQueryParser:
         args = build_parser().parse_args(["serve", "s.ldmeb"])
         assert args.host == "127.0.0.1"
         assert args.port == 7421
-        assert args.batch_window == pytest.approx(0.002)
         assert args.cache_size == 4096
         assert args.allow_reload is False
 
@@ -342,8 +341,7 @@ class TestQueryCommand:
 
         _, graph = graph_file
         summary = LDME(k=5, iterations=3, seed=0).summarize(graph)
-        with ServerThread(summary, ServerConfig(batch_window=0.001)) \
-                as handle:
+        with ServerThread(summary, ServerConfig()) as handle:
             yield handle, summary
 
     def test_query_neighbors_matches_index(self, server, capsys):
