@@ -1,21 +1,17 @@
-"""Parallel and distributed LDME.
+"""Distributed LDME on the simulated cluster.
 
-Shows the two parallel execution paths:
-
-1. the *simulated cluster* (the Spark/EMR substitute of Figure 5b) — real
-   per-group costs scheduled over simulated workers;
-2. the *process pool* (`MultiprocessLDME`) — merges planned in parallel
-   against a partition snapshot and replayed, the same staleness semantics
-   the paper's Spark implementation has.
+The simulated cluster is the Spark/EMR substitute of Figure 5(b): the
+serial driver runs for real, each merge group's measured cost is a task
+scheduled over simulated workers, and divide, the W-table build and
+encode are charged as data-parallel phases. The summary is the serial
+run's; only the wall clock is modelled.
 
 Run with::
 
     python examples/distributed_summarization.py
 """
 
-import time
-
-from repro import LDME, ClusterSpec, MultiprocessLDME, run_distributed, web_host_graph
+from repro import LDME, ClusterSpec, run_distributed, web_host_graph
 from repro.core.reconstruct import verify_lossless
 
 
@@ -28,28 +24,18 @@ def main() -> None:
     print(f"serial LDME5:      {serial.stats.total_seconds:.2f}s "
           f"compression {serial.compression:.3f}")
 
-    # Simulated 8-worker cluster (identical results, modelled wall clock).
-    run = run_distributed(
-        LDME(k=5, iterations=10, seed=0), graph, ClusterSpec(num_workers=8)
-    )
-    assert run.summarization.objective == serial.objective
-    print(f"simulated cluster: {run.simulated_seconds:.2f}s simulated "
-          f"({run.serial_seconds:.2f}s of serial work, "
-          f"{run.speedup:.1f}x modelled speedup)")
-
-    # Real process pool (plans merges in parallel; results may differ
-    # slightly from serial because groups see snapshot sizes).
-    tic = time.perf_counter()
-    parallel = MultiprocessLDME(
-        k=5, iterations=10, seed=0, num_workers=4
-    ).summarize(graph)
-    elapsed = time.perf_counter() - tic
-    verify_lossless(graph, parallel)
-    print(f"process pool (4):  {elapsed:.2f}s wall "
-          f"compression {parallel.compression:.3f} "
-          f"[{parallel.algorithm}]")
-    print("\nNote: at this scaled size, pool overhead usually exceeds the "
-          "merge work — the pool pays off on much larger graphs.")
+    # The same run under simulated clusters of growing size.
+    for workers in (2, 4, 8):
+        run = run_distributed(
+            LDME(k=5, iterations=10, seed=0), graph,
+            ClusterSpec(num_workers=workers),
+        )
+        assert run.summarization.objective == serial.objective
+        verify_lossless(graph, run.summarization)
+        print(f"simulated {workers} workers: "
+              f"{run.simulated_seconds:.2f}s simulated "
+              f"({run.serial_seconds:.2f}s of serial work, "
+              f"{run.speedup:.1f}x modelled speedup)")
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ from .core import (
 from .distributed import (
     ClusterSpec,
     DistributedResult,
-    MultiprocessLDME,
     run_distributed,
 )
 from .evaluation import (
@@ -63,8 +62,6 @@ from .ingest import IngestService, WalWriter, recover_wal
 from .ioutil import atomic_write
 from .resilience import (
     CheckpointManager,
-    FaultInjector,
-    WorkerFault,
     run_resumable,
 )
 from .streaming import DynamicSummarizer, read_stream, write_stream
@@ -135,7 +132,6 @@ __all__ = [
     "ClusterSpec",
     "DistributedResult",
     "run_distributed",
-    "MultiprocessLDME",
     "SizeReport",
     "size_report",
     "read_summary_binary",
@@ -151,8 +147,6 @@ __all__ = [
     # resilience
     "CheckpointManager",
     "run_resumable",
-    "FaultInjector",
-    "WorkerFault",
     "atomic_write",
     "CorruptSummaryError",
     "CheckpointError",

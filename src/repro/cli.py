@@ -62,9 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hot-path backend for LDME: vectorized numpy "
                             "kernels (default) or the pure-Python reference "
                             "(bit-identical output; see docs/performance.md)")
-    p_sum.add_argument("--num-workers", type=int, default=1,
-                       help="worker processes (>1 uses the supervised "
-                            "multiprocess LDME driver)")
     p_sum.add_argument("--output", "-o", help="write the summary to this path")
     p_sum.add_argument("--resume-from", metavar="CKPT",
                        help="warm-start from a partition checkpoint")
@@ -241,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shs.add_argument("--seed", type=int, default=0)
     p_shs.add_argument("--kernels", choices=("numpy", "python"),
                        default="numpy")
-    p_shs.add_argument("--num-workers", type=int, default=1,
-                       help="worker processes per shard run (>1 uses the "
-                            "supervised multiprocess driver)")
     p_shs.add_argument("--virtual-nodes", type=int, default=64,
                        help="ring points per shard (balance knob)")
     p_shs.add_argument("--checkpoint-dir", metavar="DIR",
@@ -464,25 +458,13 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     else:
         graph = load_graph(args.graph)
     if args.algorithm == "ldme":
-        if args.num_workers > 1:
-            from .distributed import MultiprocessLDME
-
-            algo = MultiprocessLDME(
-                num_workers=args.num_workers,
-                k=args.k,
-                iterations=args.iterations,
-                epsilon=args.epsilon,
-                seed=args.seed,
-                kernels=args.kernels,
-            )
-        else:
-            algo = LDME(
-                k=args.k,
-                iterations=args.iterations,
-                epsilon=args.epsilon,
-                seed=args.seed,
-                kernels=args.kernels,
-            )
+        algo = LDME(
+            k=args.k,
+            iterations=args.iterations,
+            epsilon=args.epsilon,
+            seed=args.seed,
+            kernels=args.kernels,
+        )
     else:
         algo = SWeG(
             iterations=args.iterations, epsilon=args.epsilon, seed=args.seed
@@ -870,7 +852,6 @@ def _cmd_shard_summarize(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         seed=args.seed,
         kernels=args.kernels,
-        num_workers=args.num_workers,
         virtual_nodes=args.virtual_nodes,
         checkpoint_dir=args.checkpoint_dir,
         out_dir=args.out,

@@ -147,20 +147,11 @@ class BaseSummarizer(ABC):
         groups: List[List[int]],
         threshold: float,
         rng: np.random.Generator,
-        iteration: int,
-        run_stats: RunStats,
     ) -> MergeStats:
-        """Execute one iteration's merge phase (mutating ``partition``).
-
-        The default is the serial group loop; parallel subclasses
-        (:class:`repro.distributed.MultiprocessLDME`) override this to fan
-        groups out to workers, recording supervision counters on
-        ``run_stats``.
-        """
+        """Execute one iteration's merge phase (mutating ``partition``)."""
         merge_stats = MergeStats()
-        # One batch span for the whole serial pass keeps the span tree
-        # shape-compatible with the multiprocess driver (which emits one
-        # group_batch per worker batch).
+        # One group_batch span wraps the whole pass: the golden traces
+        # (tests/obs/test_golden_trace.py) pin this span and its attrs.
         with obs_trace.span(
             "group_batch", key=0, groups=len(groups)
         ) as batch_span:
@@ -271,8 +262,7 @@ class BaseSummarizer(ABC):
                         tic = time.perf_counter()
                         threshold = merge_threshold(t)
                         merge_stats = self._merge_phase(
-                            graph, partition, groups, threshold, rng, t,
-                            stats,
+                            graph, partition, groups, threshold, rng
                         )
                         merge_seconds = time.perf_counter() - tic
                         merge_span.set_attribute(

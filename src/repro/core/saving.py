@@ -28,10 +28,8 @@ __all__ = ["GroupAdjacency", "saving_of_pair", "supernode_cost"]
 class _Sizes(dict):
     """``sid -> |A|``, read through from the partition on first use.
 
-    Works for any partition with a ``size`` method, including the
-    multiprocess planner's snapshot view. Only in-group supernodes change
-    size while a group is merged; :meth:`GroupAdjacency.apply_merge`
-    drops their entries.
+    Only in-group supernodes change size while a group is merged;
+    :meth:`GroupAdjacency.apply_merge` drops their entries.
     """
 
     __slots__ = ("_size",)

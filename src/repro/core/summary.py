@@ -66,23 +66,13 @@ class IterationStats:
 
 @dataclass
 class RunStats:
-    """Phase timings for one summarization run.
-
-    The last four counters are populated by the supervised parallel merge
-    (:class:`repro.distributed.MultiprocessLDME`): how many worker batches
-    failed or timed out, how many were retried on a fresh pool, and how
-    many fell back to in-process serial planning.
-    """
+    """Phase timings for one summarization run."""
 
     divide_seconds: float = 0.0
     merge_seconds: float = 0.0
     encode_seconds: float = 0.0
     drop_seconds: float = 0.0
     iterations: List[IterationStats] = field(default_factory=list)
-    worker_failures: int = 0       # worker batches that crashed or errored
-    batch_timeouts: int = 0        # worker batches that exceeded the deadline
-    batch_retries: int = 0         # batches re-submitted to a fresh pool
-    serial_fallbacks: int = 0      # batches planned serially in-process
 
     @property
     def total_seconds(self) -> float:

@@ -1,6 +1,5 @@
 """Simulated distributed runtime (substitute for the paper's Spark/EMR)."""
 
-from .multiprocess import MultiprocessLDME, plan_group_merges
 from .parallel import DistributedResult, run_distributed
 from .runtime import ClusterSpec, SimulatedCluster
 
@@ -9,6 +8,4 @@ __all__ = [
     "SimulatedCluster",
     "DistributedResult",
     "run_distributed",
-    "MultiprocessLDME",
-    "plan_group_merges",
 ]

@@ -1,26 +1,25 @@
 """Distributed execution of divide/merge/encode summarizers.
 
-:func:`run_distributed` replays any :class:`~repro.core.base.BaseSummarizer`
-under the simulated cluster of :mod:`repro.distributed.runtime`: divide and
-encode are data-parallel phases, and each merge group is an independent
-task (line 5 of Algorithm 1 — "each group is processed in parallel"). The
-computation is executed for real, group by group, so the output
-summarization is identical to the serial algorithm's; only wall-clock
-attribution is simulated.
+:func:`run_distributed` runs any :class:`~repro.core.base.BaseSummarizer`
+through its own driver (:meth:`~repro.core.base.BaseSummarizer.summarize`)
+and charges the measured work to the simulated cluster of
+:mod:`repro.distributed.runtime`: each merge group is an independent task
+(line 5 of Algorithm 1 — "each group is processed in parallel") whose
+round also spreads the iteration's merge context build (LDME's W table)
+evenly over the workers, and divide, encode and drop are data-parallel
+phases. The computation is the serial run itself, so the output
+summarization is identical to it; only wall-clock attribution is
+simulated.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import List, Tuple
 
-import numpy as np
-
-from ..core.base import BaseSummarizer
-from ..core.encode import encode_per_supernode, encode_sorted
-from ..core.merge import MergeStats, merge_threshold
-from ..core.partition import SupernodePartition
-from ..core.summary import IterationStats, RunStats, Summarization
+from ..core.base import BaseSummarizer, ResumeState
+from ..core.summary import Summarization
 from ..graph.graph import Graph
 from .runtime import ClusterSpec, SimulatedCluster
 
@@ -51,61 +50,56 @@ def run_distributed(
 ) -> DistributedResult:
     """Execute ``summarizer`` on ``graph`` under a simulated cluster.
 
-    Mirrors :meth:`BaseSummarizer.summarize` exactly (same RNG stream, same
-    group processing order) so results match the serial run of the same
-    seed, while per-group costs feed the cluster model.
+    ``merge_one_group`` is timed on the instance for the duration of the
+    run; after each iteration its group costs are scheduled as one round,
+    together with the rest of the iteration's merge phase (the
+    ``merge_context`` build) charged as data-parallel work. The returned
+    stats carry the simulated phase times.
     """
     sim = SimulatedCluster(cluster)
-    rng = np.random.default_rng(summarizer.seed)
-    partition = SupernodePartition(graph.num_nodes)
-    stats = RunStats()
-    for t in range(1, summarizer.iterations + 1):
+    group_costs: List[float] = []
+    charged: List[Tuple[float, float]] = []   # (divide, merge) per iteration
+    merge_one_group = summarizer.merge_one_group
+
+    def timed_merge_one_group(*args, **kwargs):
         tic = time.perf_counter()
-        groups, divide_stats = summarizer.divide(graph, partition, rng)
-        divide_serial = time.perf_counter() - tic
-        divide_sim = sim.run_data_parallel(divide_serial)
+        merge_stats = merge_one_group(*args, **kwargs)
+        group_costs.append(time.perf_counter() - tic)
+        return merge_stats
 
-        threshold = merge_threshold(t)
-        merge_stats = MergeStats()
-        group_costs = []
-        for group in groups:
-            tic = time.perf_counter()
-            merge_stats += summarizer.merge_one_group(
-                graph, partition, group, threshold, rng
-            )
-            group_costs.append(time.perf_counter() - tic)
-        merge_sim = sim.run_round(group_costs)
+    def charge_iteration(state: ResumeState) -> None:
+        record = state.stats.iterations[-1]
+        # The merge phase's time outside the groups is the merge_context
+        # build (LDME's W table, batched over every group by the serial
+        # driver); in the round it is split evenly across the workers.
+        workers = cluster.num_workers
+        context_share = max(
+            0.0, record.merge_seconds - sum(group_costs)
+        ) / workers
+        charged.append((
+            sim.run_data_parallel(record.divide_seconds),
+            sim.run_round(group_costs + [context_share] * workers),
+        ))
+        group_costs.clear()
 
-        stats.divide_seconds += divide_sim
-        stats.merge_seconds += merge_sim
-        stats.iterations.append(
-            IterationStats(
-                iteration=t,
-                divide_seconds=divide_sim,
-                merge_seconds=merge_sim,
-                num_groups=divide_stats.num_groups,
-                max_group_size=divide_stats.max_group_size,
-                num_supernodes=partition.num_supernodes,
-                merges=merge_stats.merges,
-            )
+    summarizer.merge_one_group = timed_merge_one_group
+    try:
+        summarization = summarizer.summarize(
+            graph, iteration_hook=charge_iteration
         )
-    tic = time.perf_counter()
-    if summarizer.encoder == "sorted":
-        encoded = encode_sorted(graph, partition)
-    else:
-        encoded = encode_per_supernode(graph, partition)
-    encode_serial = time.perf_counter() - tic
-    stats.encode_seconds = sim.run_data_parallel(encode_serial)
+    finally:
+        del summarizer.merge_one_group
 
-    summarization = Summarization(
-        num_nodes=graph.num_nodes,
-        num_edges=graph.num_edges,
-        partition=partition,
-        superedges=encoded.superedges,
-        corrections=encoded.corrections,
-        stats=stats,
-        algorithm=f"{summarizer.name}-distributed",
-    )
+    stats = summarization.stats
+    for record, (divide_sim, merge_sim) in zip(stats.iterations, charged):
+        record.divide_seconds = divide_sim
+        record.merge_seconds = merge_sim
+    stats.divide_seconds = sum(divide for divide, _ in charged)
+    stats.merge_seconds = sum(merge for _, merge in charged)
+    stats.encode_seconds = sim.run_data_parallel(stats.encode_seconds)
+    if summarizer.epsilon > 0:
+        stats.drop_seconds = sim.run_data_parallel(stats.drop_seconds)
+    summarization.algorithm = f"{summarizer.name}-distributed"
     return DistributedResult(
         summarization=summarization,
         simulated_seconds=sim.simulated_seconds,

@@ -14,8 +14,8 @@ the same work for *many* groups at once, in three array passes:
 Serial LDME builds one table per iteration over every
 mergeable group; each group then materializes its rows as dicts with
 :meth:`WTable.group_w` when its merge loop starts. Callers without a
-table (multiprocess workers, the SuperJaccard policy, RANDOMIZED,
-``saving_of_pair``) build a one-group table, so there is a single numpy
+table (the SuperJaccard policy, RANDOMIZED, ``saving_of_pair``) build a
+one-group table, so there is a single numpy
 ``W`` path. The dict rows are **equal** to the reference (the internal
 self-entry is halved and re-inserted exactly like the reference does), so
 the post-merge fold update (:meth:`GroupAdjacency.apply_merge`) is shared
@@ -125,8 +125,7 @@ def build_w_table(
     """One CSR gather and one ``np.unique`` over every group's rows.
 
     ``W[A][C]`` counts original edges between supernodes A and C.
-    ``partition`` only needs ``members(sid)`` and ``node2super`` —
-    snapshot partitions used by the multiprocess planner work too.
+    ``partition`` only needs ``members(sid)`` and ``node2super``.
     """
     sids: List[int] = [int(s) for group in groups for s in group]
     node2super = partition.node2super

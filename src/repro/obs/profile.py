@@ -38,9 +38,7 @@ __all__ = [
 class KernelProfiler:
     """Accumulates per-kernel call counts and self-time.
 
-    Thread-safe; one instance can be shared by the whole process (the
-    multiprocess merge planner profiles only parent-side kernel calls —
-    worker self-time is attributed by the worker's own profiler, if any).
+    Thread-safe; one instance can be shared by the whole process.
     """
 
     def __init__(self) -> None:

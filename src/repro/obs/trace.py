@@ -17,9 +17,9 @@ and a constant return, so always-on instrumentation costs nanoseconds
 (benchmarked in ``benchmarks/test_obs_overhead.py``).
 
 Cross-process propagation: :meth:`Tracer.context` captures the current
-position as a small dict; a worker process rebuilds a child tracer from
+position as a small dict; another process rebuilds a child tracer from
 it with :meth:`Tracer.from_context`, records spans, and ships
-:meth:`Tracer.records` back for the parent to :meth:`Tracer.ingest`.
+:meth:`Tracer.records` back for the caller to :meth:`Tracer.ingest`.
 Because ids are deterministic, the stitched tree is identical to the one
 a single-process run would have produced.
 """

@@ -1,15 +1,13 @@
 """Fault tolerance for long summarization runs (``repro.resilience``).
 
-Four pillars, each usable on its own:
+Three pillars, each usable on its own:
 
 * :class:`CheckpointManager` / :func:`run_resumable` — atomic,
   checksummed iteration-boundary checkpoints; a killed run resumes
   bit-identical to an uninterrupted one.
-* :class:`~repro.resilience.supervisor.BatchSupervisor` — retry,
-  timeout, and serial-fallback supervision for the parallel merge
-  (wired into :class:`repro.distributed.MultiprocessLDME`).
-* :class:`FaultInjector` and friends — deterministic worker crashes,
-  hangs, and file corruption for chaos testing.
+* :class:`ClusterFaultPlan`, :class:`MigrationFaultPlan` and the file
+  corruption helpers — deterministic replica faults, migration kills and
+  on-disk damage for chaos testing.
 * Corruption-safe I/O primitives re-exported from :mod:`repro.ioutil`
   and :mod:`repro.errors` (the binary formats themselves live in
   :mod:`repro.binaryio`).
@@ -23,14 +21,10 @@ from ..errors import (
 from ..ioutil import atomic_write, file_crc32
 from .checkpoint import CheckpointInfo, CheckpointManager, LoadedCheckpoint
 from .faults import (
-    CRASH_EXIT_CODE,
     ClusterFaultPlan,
-    FaultInjector,
     MigrationFault,
     MigrationFaultPlan,
     ReplicaFault,
-    WorkerFault,
-    WorkerFaultError,
     flip_bit,
     partial_write,
     torn_tail,
@@ -42,12 +36,6 @@ from .resumable import (
     run_resumable,
     state_to_payload,
 )
-from .supervisor import (
-    BatchSupervisor,
-    SupervisionPolicy,
-    SupervisionReport,
-    WorkerPoolError,
-)
 
 __all__ = [
     # checkpointing
@@ -58,20 +46,11 @@ __all__ = [
     "run_fingerprint",
     "state_to_payload",
     "payload_to_state",
-    # supervision
-    "BatchSupervisor",
-    "SupervisionPolicy",
-    "SupervisionReport",
-    "WorkerPoolError",
     # fault injection
-    "FaultInjector",
-    "WorkerFault",
-    "WorkerFaultError",
     "ReplicaFault",
     "ClusterFaultPlan",
     "MigrationFault",
     "MigrationFaultPlan",
-    "CRASH_EXIT_CODE",
     "flip_bit",
     "truncate_file",
     "partial_write",

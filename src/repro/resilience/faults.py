@@ -1,41 +1,32 @@
 """Deterministic fault injection for resilience testing.
 
-Everything here is *scheduled*, not random: a fault fires for an exact
-``(iteration, batch_index, attempt)`` coordinate or an exact byte offset,
-so chaos tests are reproducible run-to-run. Three fault families:
+Everything here is *scheduled*, not random: a fault fires at an exact
+query-progress mark, migration-journal step or byte offset, so chaos
+tests are reproducible run-to-run. Three fault families:
 
-* **Worker faults** — :class:`FaultInjector` is installed into
-  :class:`repro.distributed.MultiprocessLDME`; forked pool workers call
-  :meth:`FaultInjector.on_worker_batch` at the start of each batch and
-  hard-crash (``os._exit``), sleep, or raise according to the plan.
-  Keying on ``attempt`` lets a schedule crash a batch once and let its
-  retry succeed.
-* **File corruption** — :func:`flip_bit` / :func:`truncate_file` /
-  :func:`partial_write` damage artifacts on disk the way real storage
-  does (bit rot, torn writes, interrupted copies), for exercising the
-  checksummed readers.
-* **Serve chaos** — the schedule helpers are reused by the load
-  generator's chaos mode (:mod:`repro.serve.loadgen`), and
-  :class:`ClusterFaultPlan` schedules replica-level faults (kill /
-  restart / corrupt-swap) against a
+* **Replica faults** — :class:`ClusterFaultPlan` schedules kill /
+  restart / corrupt-swap actions against a
   :class:`~repro.serve.cluster.SummaryCluster` at exact query-progress
-  marks, so a cluster chaos run replays the identical fault sequence
-  every time.
+  marks of the load generator (:mod:`repro.serve.loadgen`), so a
+  cluster chaos run replays the identical fault sequence every time.
+* **Migration faults** — :class:`MigrationFaultPlan` kills a re-shard
+  coordinator, or corrupts a staged artifact, right after a named
+  journal step.
+* **File corruption** — :func:`flip_bit` / :func:`truncate_file` /
+  :func:`partial_write` / :func:`torn_tail` damage artifacts on disk the
+  way real storage does (bit rot, torn writes, interrupted copies), for
+  exercising the checksummed readers.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 __all__ = [
-    "WorkerFault",
-    "FaultInjector",
-    "WorkerFaultError",
     "ReplicaFault",
     "ClusterFaultPlan",
     "MigrationFault",
@@ -44,106 +35,9 @@ __all__ = [
     "truncate_file",
     "partial_write",
     "torn_tail",
-    "CRASH_EXIT_CODE",
 ]
 
 PathLike = Union[str, "os.PathLike[str]"]
-
-#: Exit code used by injected worker crashes (recognizable in waitpid logs).
-CRASH_EXIT_CODE = 23
-
-_KINDS = ("crash", "slow", "exception")
-
-
-class WorkerFaultError(RuntimeError):
-    """The exception an ``exception``-kind worker fault raises."""
-
-
-@dataclass(frozen=True)
-class WorkerFault:
-    """One scheduled fault inside a parallel merge worker.
-
-    Parameters
-    ----------
-    iteration:
-        LDME iteration (1-based) the fault fires in.
-    batch_index:
-        Worker-batch index within that iteration (0-based).
-    attempt:
-        Which submission attempt to hit (0 = first run, 1 = first retry,
-        ...). Crashing at ``attempt=0`` only is the canonical
-        "transient crash, retry succeeds" scenario.
-    kind:
-        ``"crash"`` (``os._exit`` — simulates SIGKILL/OOM),
-        ``"slow"`` (sleep ``delay`` seconds — simulates a hung batch), or
-        ``"exception"`` (raise :class:`WorkerFaultError` — simulates a
-        poison-pill input).
-    delay:
-        Sleep duration for ``"slow"`` faults.
-    """
-
-    iteration: int
-    batch_index: int
-    attempt: int = 0
-    kind: str = "crash"
-    delay: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.kind == "slow" and self.delay <= 0:
-            raise ValueError("slow faults need a positive delay")
-
-
-@dataclass
-class FaultInjector:
-    """A deterministic schedule of :class:`WorkerFault` entries.
-
-    The injector is inherited by forked pool workers, so each child sees
-    the full schedule; a fault fires in whichever process evaluates its
-    coordinate. The parent-side ``triggered`` log only records faults
-    evaluated in the parent (serial fallback never consults the injector,
-    by design — fallback must be fault-free).
-    """
-
-    faults: List[WorkerFault] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._by_key: Dict[Tuple[int, int, int], WorkerFault] = {}
-        for fault in self.faults:
-            key = (fault.iteration, fault.batch_index, fault.attempt)
-            if key in self._by_key:
-                raise ValueError(f"duplicate fault for coordinate {key}")
-            self._by_key[key] = fault
-        self.triggered: List[Tuple[int, int, int]] = []
-
-    def planned(self, iteration: int, batch_index: int,
-                attempt: int) -> Optional[WorkerFault]:
-        """The fault scheduled for a coordinate, if any (no side effects)."""
-        return self._by_key.get((iteration, batch_index, attempt))
-
-    def on_worker_batch(self, iteration: int, batch_index: int,
-                        attempt: int) -> None:
-        """Fire the fault scheduled for this coordinate, if any.
-
-        Called at the top of every worker batch. ``crash`` faults
-        terminate the *process* immediately (bypassing ``finally`` blocks
-        and pool bookkeeping — exactly what a SIGKILL does).
-        """
-        fault = self._by_key.get((iteration, batch_index, attempt))
-        if fault is None:
-            return
-        self.triggered.append((iteration, batch_index, attempt))
-        if fault.kind == "crash":
-            os._exit(CRASH_EXIT_CODE)
-        elif fault.kind == "slow":
-            time.sleep(fault.delay)
-        else:
-            raise WorkerFaultError(
-                f"injected fault at iteration {iteration}, "
-                f"batch {batch_index}, attempt {attempt}"
-            )
-
 
 _REPLICA_ACTIONS = ("kill", "restart", "swap", "corrupt_swap")
 

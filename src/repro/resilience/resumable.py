@@ -1,11 +1,10 @@
 """Checkpoint/resume for iterative summarization runs.
 
 :func:`run_resumable` wraps any :class:`~repro.core.base.BaseSummarizer`
-(serial LDME, SWeG, or the supervised parallel
-:class:`~repro.distributed.MultiprocessLDME`) with iteration-boundary
-checkpointing: after every ``checkpoint_every`` iterations the full loop
-state — partition (member order preserved exactly), RNG bit-generator
-state, early-stop counter, and accumulated stats — is persisted through a
+(LDME, SWeG, ...) with iteration-boundary checkpointing: after every
+``checkpoint_every`` iterations the full loop state — partition (member
+order preserved exactly), RNG bit-generator state, early-stop counter,
+and accumulated stats — is persisted through a
 :class:`~repro.resilience.checkpoint.CheckpointManager`. A process killed
 at any point restarts from the last good checkpoint and produces a
 summary **bit-identical** to the uninterrupted run: same supernodes, same
@@ -43,10 +42,8 @@ __all__ = [
 PAYLOAD_KIND = "ldme-run"
 
 #: Optional per-algorithm attributes folded into the fingerprint when
-#: present (k for LDME, batching shape for the parallel variant, ...).
-_OPTIONAL_FINGERPRINT_ATTRS = (
-    "k", "merge_policy", "divide_weights", "num_workers",
-)
+#: present (k for LDME, ...).
+_OPTIONAL_FINGERPRINT_ATTRS = ("k", "merge_policy", "divide_weights")
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The billion-scale pitch of the paper made concrete: the graph is split
 into K shards by consistent hashing on node id, each shard is summarized
-independently (reusing the serial or supervised-parallel LDME drivers),
+independently (reusing the serial LDME driver),
 and a stitching coordinator merges the per-shard outputs into one
 lossless global summary plus per-shard *serving* artifacts that a
 shards × replicas :class:`~repro.serve.cluster.SummaryCluster` loads.
@@ -17,8 +17,7 @@ Modules
   induced subgraphs (intra-shard edges stay local) and routes every cut
   edge to a deterministic owner shard.
 * :mod:`~repro.shard.driver` — runs LDME per shard, honouring the
-  ``kernels=`` backend knob, ``repro.distributed`` worker pools,
-  checkpointing via :func:`repro.resilience.run_resumable`, and
+  ``kernels=`` backend knob, checkpointing via :func:`repro.resilience.run_resumable`, and
   :mod:`repro.obs` spans.
 * :mod:`~repro.shard.stitch` — merges per-shard summaries into a global
   :class:`~repro.core.summary.Summarization` (cross-shard superedges

@@ -4,9 +4,8 @@
 ``shard-summarize`` CLI command. It reuses the existing single-graph
 machinery unchanged per shard:
 
-* the plain :class:`~repro.core.ldme.LDME` driver (or the supervised
-  :class:`~repro.distributed.MultiprocessLDME` worker pool when
-  ``num_workers > 1``), honouring the ``kernels=`` backend knob;
+* the plain :class:`~repro.core.ldme.LDME` driver, honouring the
+  ``kernels=`` backend knob;
 * :func:`repro.resilience.run_resumable` checkpointing when a
   ``checkpoint_dir`` is given — each shard checkpoints into its own
   subdirectory, so a crash resumes mid-shard, not from shard 0;
@@ -59,17 +58,8 @@ def _default_factory(
     iterations: int,
     seed: int,
     kernels: str,
-    num_workers: int,
 ) -> AlgoFactory:
     def make(shard_id: int) -> BaseSummarizer:
-        if num_workers > 1:
-            from ..distributed import MultiprocessLDME
-
-            return MultiprocessLDME(
-                num_workers=num_workers,
-                k=k, iterations=iterations,
-                seed=seed + shard_id, kernels=kernels,
-            )
         return LDME(
             k=k, iterations=iterations,
             seed=seed + shard_id, kernels=kernels,
@@ -102,8 +92,10 @@ def summarize_sharded(
         :class:`HashRing` (e.g. from a manifest, for re-shard runs).
     algo_factory:
         ``shard_id -> BaseSummarizer`` override; the default builds
-        :class:`LDME` (or :class:`MultiprocessLDME` when
-        ``num_workers > 1``) with ``seed + shard_id``.
+        :class:`LDME` with ``seed + shard_id``.
+    num_workers:
+        Must be 1. The parallel merge was removed; the keyword stays so
+        existing callers that pass ``num_workers=1`` keep working.
     checkpoint_dir:
         Enables :func:`~repro.resilience.run_resumable` per shard, each
         shard under ``<dir>/shard-<id>/``.
@@ -114,12 +106,15 @@ def summarize_sharded(
         Run partition-coverage checks and the full losslessness proof on
         the stitched summary (cheap relative to summarization; leave on).
     """
+    if num_workers != 1:
+        raise ValueError(
+            f"num_workers={num_workers}: the parallel merge was removed; "
+            "summarize_sharded runs each shard with the serial driver"
+        )
     ring = shards if isinstance(shards, HashRing) else HashRing(
         shards, virtual_nodes=virtual_nodes, seed=seed
     )
-    factory = algo_factory or _default_factory(
-        k, iterations, seed, kernels, num_workers
-    )
+    factory = algo_factory or _default_factory(k, iterations, seed, kernels)
 
     with obs_trace.span(
         "shard_run", key=ring.num_shards,

@@ -454,7 +454,7 @@ class MigrationCoordinator:
         self.on_step = on_step
         self.catch_up_rounds = catch_up_rounds
         self.algo_factory = algo_factory or _default_factory(
-            k, iterations, seed, kernels, num_workers=1
+            k, iterations, seed, kernels
         )
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.current_step: str = ""   # live view for loadgen phase bucketing

@@ -16,17 +16,35 @@ class TestCorrectness:
         )
         verify_lossless(small_web, run.summarization)
 
-    def test_matches_serial_result(self, small_web):
-        # Same seed → same RNG stream → identical partition and objective.
-        serial = LDME(k=5, iterations=5, seed=3).summarize(small_web)
+    @pytest.mark.parametrize("make", [
+        lambda: LDME(k=5, iterations=5, seed=3),
+        lambda: LDME(k=5, iterations=5, seed=3, epsilon=0.3),
+        lambda: LDME(k=5, iterations=20, seed=3, early_stop_rounds=1),
+        lambda: SWeG(iterations=3, seed=3),
+    ], ids=["lossless", "lossy", "early-stop", "sweg"])
+    def test_matches_serial_result(self, small_web, make):
+        # The simulated run is the serial driver itself, so the same seed
+        # gives the same summary, lossy drop and early stop included.
+        serial = make().summarize(small_web)
         distributed = run_distributed(
-            LDME(k=5, iterations=5, seed=3), small_web,
-            ClusterSpec(num_workers=8),
+            make(), small_web, ClusterSpec(num_workers=8)
+        ).summarization
+        assert distributed.objective == serial.objective
+        assert sorted(distributed.superedges) == sorted(serial.superedges)
+        assert sorted(distributed.corrections.additions) == sorted(
+            serial.corrections.additions
         )
-        assert distributed.summarization.objective == serial.objective
-        assert sorted(distributed.summarization.superedges) == sorted(
-            serial.superedges
+        assert sorted(distributed.corrections.deletions) == sorted(
+            serial.corrections.deletions
         )
+        assert len(distributed.stats.iterations) == len(
+            serial.stats.iterations
+        )
+
+    def test_instance_unwrapped_after_run(self, small_web):
+        algo = LDME(k=5, iterations=2, seed=0)
+        run_distributed(algo, small_web, ClusterSpec(num_workers=2))
+        assert "merge_one_group" not in vars(algo)
 
     def test_sweg_runs_distributed(self, small_web):
         run = run_distributed(

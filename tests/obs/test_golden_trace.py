@@ -4,8 +4,8 @@ Span ids are digests of structural position and the trace id derives
 from the run seed, so a fixed-seed run has a *fully deterministic* span
 tree — names, keys, parent edges and the key attributes (never
 durations). These tests pin that tree for the serial driver under both
-kernel backends, for the multiprocess driver, and across checkpoint
-resume — including a resume after a real SIGKILL. If instrumentation
+kernel backends and across checkpoint resume — including a resume after
+a real SIGKILL. If instrumentation
 drifts (a span renamed, re-parented, or silently dropped), these fail.
 """
 
@@ -18,7 +18,6 @@ import textwrap
 import pytest
 
 from repro.core.ldme import LDME
-from repro.distributed import MultiprocessLDME
 from repro.graph.generators import web_host_graph
 from repro.obs import trace as obs_trace
 from repro.obs.trace import Tracer
@@ -156,60 +155,6 @@ class TestGoldenSerial:
                 batch.attributes["candidates_scored"]
                 == merge.attributes["candidates_scored"]
             )
-
-
-class TestGoldenMultiprocess:
-    def make_mp(self):
-        return MultiprocessLDME(
-            num_workers=2, k=4, iterations=ITERATIONS, seed=SEED,
-            batch_timeout=120.0,
-        )
-
-    def test_batches_parent_under_merge_and_rerun_identical(self):
-        graph = small_graph()
-        a = Tracer(seed=SEED)
-        with obs_trace.use(a):
-            self.make_mp().summarize(graph)
-        merge_ids = {s.span_id for s in a.find("merge")}
-        batches = a.find("group_batch")
-        assert batches, "worker batches must ship spans back"
-        for batch in batches:
-            assert batch.parent_id in merge_ids
-            assert batch.attributes["merges"] >= 0
-        # Batch spans key on the batch index, never the worker pid, so a
-        # second run reproduces the tree exactly.
-        b = Tracer(seed=SEED)
-        with obs_trace.use(b):
-            self.make_mp().summarize(graph)
-        assert a.tree() == b.tree()
-        assert id_set(a) == id_set(b)
-
-    def test_iteration_skeleton_matches_serial_shape(self):
-        # Everything except batch fan-out is shared driver code, so the
-        # (run → iteration → divide/merge/encode) skeleton is identical
-        # in shape to the serial golden tree.
-        graph = small_graph()
-        tracer = Tracer(seed=SEED)
-        with obs_trace.use(tracer):
-            self.make_mp().summarize(graph)
-
-        def strip_batches(nodes):
-            return tuple(
-                (n["name"], n["key"], strip_batches(n["children"]))
-                for n in nodes
-                if n["name"] != "group_batch"
-            )
-
-        div = (("signatures", "sig", ()),)
-        expected = (
-            ("run", f"LDME4-mp2/{SEED}", (
-                ("encode", "final", ()),
-                ("iteration", 1, (("divide", 1, div), ("merge", 1, ()))),
-                ("iteration", 2, (("divide", 2, div), ("merge", 2, ()))),
-                ("iteration", 3, (("divide", 3, div), ("merge", 3, ()))),
-            )),
-        )
-        assert strip_batches(tracer.tree()) == expected
 
 
 class Interrupt(Exception):

@@ -176,10 +176,16 @@ class TestSamplingProfiler:
         from repro.graph.generators import web_host_graph
         from repro.core.ldme import LDME
 
+        graph = web_host_graph(num_hosts=8, host_size=16, seed=1)
+        # One run takes a few ms, less than a sampling tick plus the
+        # interpreter's switch interval, so repeat it until the sampler
+        # has ticked (bounded: a sampler that never samples still fails).
+        deadline = time.monotonic() + 5.0
         with profiler:
-            LDME(k=4, iterations=4, seed=0).summarize(
-                web_host_graph(num_hosts=8, host_size=16, seed=1)
-            )
+            while True:
+                LDME(k=4, iterations=4, seed=0).summarize(graph)
+                if profiler.total_samples or time.monotonic() > deadline:
+                    break
         assert profiler.total_samples > 0
         # Every attributed location is inside the package.
         for name in profiler.samples:

@@ -6,73 +6,11 @@ import time
 import pytest
 
 from repro.resilience import (
-    FaultInjector,
-    WorkerFault,
-    WorkerFaultError,
     flip_bit,
     partial_write,
     torn_tail,
     truncate_file,
 )
-
-
-class TestWorkerFault:
-    def test_defaults(self):
-        fault = WorkerFault(iteration=1, batch_index=0)
-        assert fault.kind == "crash"
-        assert fault.attempt == 0
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            WorkerFault(iteration=1, batch_index=0, kind="explode")
-
-    def test_slow_needs_delay(self):
-        with pytest.raises(ValueError, match="delay"):
-            WorkerFault(iteration=1, batch_index=0, kind="slow")
-
-
-class TestFaultInjector:
-    def test_planned_lookup(self):
-        fault = WorkerFault(iteration=2, batch_index=1, attempt=0)
-        injector = FaultInjector([fault])
-        assert injector.planned(2, 1, 0) is fault
-        assert injector.planned(2, 1, 1) is None
-        assert injector.planned(3, 1, 0) is None
-
-    def test_duplicate_coordinates_rejected(self):
-        fault = WorkerFault(iteration=1, batch_index=0)
-        with pytest.raises(ValueError, match="duplicate"):
-            FaultInjector([fault, WorkerFault(1, 0, kind="exception")])
-
-    def test_no_fault_is_noop(self):
-        injector = FaultInjector([])
-        injector.on_worker_batch(1, 0, 0)
-        assert injector.triggered == []
-
-    def test_exception_kind_raises(self):
-        injector = FaultInjector(
-            [WorkerFault(iteration=1, batch_index=0, kind="exception")]
-        )
-        with pytest.raises(WorkerFaultError, match="iteration 1"):
-            injector.on_worker_batch(1, 0, 0)
-        assert injector.triggered == [(1, 0, 0)]
-
-    def test_slow_kind_sleeps(self):
-        injector = FaultInjector(
-            [WorkerFault(1, 0, kind="slow", delay=0.05)]
-        )
-        tic = time.perf_counter()
-        injector.on_worker_batch(1, 0, 0)
-        assert time.perf_counter() - tic >= 0.05
-
-    def test_attempt_scoping(self):
-        # A fault at attempt 0 must not re-fire on the retry.
-        injector = FaultInjector(
-            [WorkerFault(1, 0, attempt=0, kind="exception")]
-        )
-        with pytest.raises(WorkerFaultError):
-            injector.on_worker_batch(1, 0, 0)
-        injector.on_worker_batch(1, 0, 1)       # retry sails through
 
 
 class TestFileCorruption:

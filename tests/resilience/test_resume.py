@@ -122,11 +122,16 @@ class TestInProcessResume:
         second = run_resumable(make_algo(), graph, tmp_path / "c")
         assert_identical(first, second)
 
-    def test_checkpoint_with_retired_stats_field_resumes(self, tmp_path):
-        # Checkpoints written before the shared-memory transport was
-        # removed carry a "shm_fallbacks" counter that RunStats no longer
-        # defines; stats never steer the trajectory, so the resume must
-        # accept the payload and stay bit-identical.
+    @pytest.mark.parametrize("retired", [
+        "shm_fallbacks", "worker_failures", "batch_timeouts",
+        "batch_retries", "serial_fallbacks",
+    ])
+    def test_checkpoint_with_retired_stats_field_resumes(self, tmp_path,
+                                                         retired):
+        # Checkpoints written before the shared-memory transport and the
+        # parallel merge were removed carry counters that RunStats no
+        # longer defines; stats never steer the trajectory, so the resume
+        # must accept the payload and stay bit-identical.
         graph = small_graph()
         baseline = make_algo().summarize(graph)
         manager = CheckpointManager(tmp_path / "c")
@@ -140,7 +145,7 @@ class TestInProcessResume:
         loaded = manager.load_latest()
         assert loaded.iteration == 2
         payload = loaded.payload
-        payload["stats"]["shm_fallbacks"] = 0
+        payload["stats"][retired] = 0
         manager.save(loaded.iteration, payload)
         resumed = run_resumable(make_algo(), graph, manager)
         assert_identical(resumed, baseline)

@@ -27,6 +27,20 @@ class TestSummarizeSharded:
         rebuilt = reconstruct(result.summary)
         assert rebuilt.num_edges == graph.num_edges
 
+    def test_num_workers_keyword_is_serial_only(self, graph):
+        with pytest.raises(ValueError, match="parallel merge was removed"):
+            summarize_sharded(graph, shards=2, iterations=3, num_workers=2)
+        explicit = summarize_sharded(
+            graph, shards=2, k=4, iterations=3, num_workers=1
+        ).summary
+        default = summarize_sharded(graph, shards=2, k=4, iterations=3).summary
+        assert explicit.objective == default.objective
+        assert sorted(explicit.superedges) == sorted(default.superedges)
+        assert explicit.corrections == default.corrections
+        assert explicit.partition.node2super.tolist() == (
+            default.partition.node2super.tolist()
+        )
+
     def test_accepts_prebuilt_ring(self, graph):
         ring = HashRing([0, 2, 5], seed=3)
         result = summarize_sharded(

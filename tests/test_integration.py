@@ -107,16 +107,6 @@ class TestDistributedAgreement:
         )
         assert simulated.summarization.objective == serial.objective
 
-    def test_multiprocess_output_valid(self, pipeline_graph):
-        from repro.distributed.multiprocess import _fork_available
-
-        if not _fork_available():
-            pytest.skip("no fork on this platform")
-        result = repro.MultiprocessLDME(
-            k=5, iterations=3, seed=0, num_workers=2
-        ).summarize(pipeline_graph)
-        assert check_summary(result, pipeline_graph) == []
-
 
 class TestSizeAccounting:
     def test_bit_model_tracks_real_file_size_ordering(self, tmp_path,
