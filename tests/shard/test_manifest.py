@@ -1,5 +1,6 @@
 """Manifest round-trip and corruption rejection."""
 
+import hashlib
 import json
 import os
 
@@ -7,7 +8,7 @@ import pytest
 
 from repro.core.ldme import LDME
 from repro.errors import CorruptSummaryError
-from repro.graph.generators import web_host_graph
+from repro.graph.generators import rmat, web_host_graph
 from repro.resilience import flip_bit
 from repro.resilience.faults import _corruption_target, truncate_file
 from repro.shard import (
@@ -17,6 +18,7 @@ from repro.shard import (
     partition_graph,
     save_sharded,
     stitch_shards,
+    summarize_sharded,
 )
 
 
@@ -149,3 +151,44 @@ class TestCorruptionTarget:
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             _corruption_target(str(tmp_path))
+
+
+#: SHA-256 of every file ``save_sharded`` writes for
+#: ``summarize_sharded(rmat(scale=9, seed=1), shards=4, seed=1)``. The
+#: on-disk bytes of the global, serving and local summaries (and the
+#: manifest that records their CRCs) must not move when the writer, the
+#: stitch or the serving cut is reimplemented.
+SHARDED_FILE_SHA256 = {
+    "global.ldmeb":
+        "2317c19d3a61681db14bab16bd757ab0285f5baa248b2238aa3eda60cea2917a",
+    "local-0.ldmeb":
+        "76c3b3e00e1ca824cc5d152af0c4de7cfb18462e73c110dbfcfacf442a3d39a6",
+    "local-1.ldmeb":
+        "59774c19a5b49c983e720f3b67b753802515188e02ed0bcd8da817b76f113884",
+    "local-2.ldmeb":
+        "2b5146e69661da13b98d18cf7582dde296a8da9b7ee8f56b9ed8d1db29eb31ff",
+    "local-3.ldmeb":
+        "528911a442b5d8f1f3dc7ab71e8eb6236060800f60199f079edd484320e03936",
+    "manifest.json":
+        "307d2b4f5ce55486d3c0a68b32b3bafb87bca6de5e7a5d0682b3f8c91ea9142a",
+    "shard-0.ldmeb":
+        "e2034cae013b69bd03fee72a0524144b59a83b0746015b140dc13c67415dd943",
+    "shard-1.ldmeb":
+        "3b3f3dd5c382c3854192749216fd3ea61bf71bb55b8d05e8299c74a0a07187ad",
+    "shard-2.ldmeb":
+        "77ba860c97f0ca774ae46e5beabbe9f05ea08d98c5461735c71eed46406590db",
+    "shard-3.ldmeb":
+        "a4a2c41a1c1c9300e056b378e41bf362ada1bc3520e6f005f079628692ce6774",
+}
+
+
+class TestBytePins:
+    def test_sharded_files_are_pinned(self, tmp_path):
+        out = tmp_path / "job"
+        summarize_sharded(rmat(scale=9, seed=1), shards=4, seed=1,
+                          out_dir=str(out))
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out))
+        }
+        assert digests == SHARDED_FILE_SHA256
