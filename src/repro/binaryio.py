@@ -25,6 +25,15 @@ torn write, or a flipped bit raises a typed
 garbage. Version-1 files (no footer) remain readable. Writes to a path go
 through :func:`repro.ioutil.atomic_write`, so an interrupted write never
 clobbers a previous good file.
+
+The codec works on whole streams, not on single values: the writer
+builds every value of the file as one int64 array and encodes it in one
+pass (:func:`encode_varints`), and the reader decodes every varint at
+once (:class:`VarintReader`); only its walk over the supernode headers is
+a loop. Values must fit a signed 64-bit integer, so a varint longer than
+ten bytes is rejected as ``"varint too long"``, and a header whose member
+counts cannot cover ``num_nodes`` is rejected before anything that large
+is allocated.
 """
 
 from __future__ import annotations
@@ -34,6 +43,10 @@ import struct
 import zlib
 from typing import IO, List, Tuple, Union
 
+import numpy as np
+
+from .core.pairs import edge_array, edge_list, pair_keys
+from .core.partition import SupernodePartition
 from .core.summary import CorrectionSet, Summarization
 from .errors import CorruptSummaryError
 from .ioutil import atomic_write
@@ -41,6 +54,8 @@ from .ioutil import atomic_write
 __all__ = [
     "write_summary_binary",
     "read_summary_binary",
+    "encode_varints",
+    "VarintReader",
     "CorruptSummaryError",
 ]
 
@@ -61,97 +76,127 @@ FileOrPath = Union[PathLike, IO[bytes]]
 
 
 # ----------------------------------------------------------------------
-# varint primitives
+# varint codec: whole int64 streams at once
 # ----------------------------------------------------------------------
-def _write_varint(out: IO[bytes], value: int) -> None:
-    if value < 0:
+#: Longest varint the reader accepts. Ten bytes hold 70 bits; the reader
+#: also rejects a tenth byte that would carry bit 63 or above, so every
+#: decoded value fits a signed 64-bit integer.
+MAX_VARINT_BYTES = 10
+
+
+def encode_varints(values: np.ndarray) -> bytes:
+    """LEB128-encode a stream of non-negative int64 values."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.size and values.min() < 0:
         raise ValueError("varints encode non-negative integers")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.write(bytes([byte | 0x80]))
-        else:
-            out.write(bytes([byte]))
-            return
+    lengths = np.ones(values.size, dtype=np.int64)
+    for k in range(1, 9):       # a non-negative int64 needs <= 9 bytes
+        lengths += values >= (1 << (7 * k))
+    starts = np.cumsum(lengths) - lengths
+    out = np.empty(int(lengths.sum()), dtype=np.uint8)
+    live = np.arange(values.size)      # varints with a byte at offset j
+    for j in range(int(lengths.max()) if lengths.size else 0):
+        if j:
+            live = live[lengths[live] > j]
+        byte = (values[live] >> (7 * j)) & 0x7F
+        byte[lengths[live] > j + 1] |= 0x80
+        out[starts[live] + j] = byte
+    return out.tobytes()
 
 
-def _read_varint(data: bytes, pos: int,
-                 path: str = "<data>") -> Tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise CorruptSummaryError(path, "truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
+class VarintReader:
+    """Every varint of a byte string, decoded at once, read in order.
+
+    Decoding stops at the first varint that is too long; :meth:`take`
+    then raises :class:`~repro.errors.CorruptSummaryError` for a value
+    past that point with ``"varint too long"``, or with
+    ``"truncated varint"`` when the bytes simply ran out.
+    """
+
+    def __init__(self, data: bytes, path: str = "<data>") -> None:
+        buf = np.frombuffer(data, dtype=np.uint8)
+        ends = np.flatnonzero(buf < 0x80) + 1
+        lengths = np.diff(ends, prepend=0)
+        too_long = np.flatnonzero(
+            (lengths > MAX_VARINT_BYTES)
+            | ((lengths == MAX_VARINT_BYTES) & (buf[ends - 1] != 0))
+        )
+        self._stop = "truncated varint"
+        if too_long.size:
+            ends, lengths = ends[:too_long[0]], lengths[:too_long[0]]
+            self._stop = "varint too long"
+        elif buf.size - (ends[-1] if ends.size else 0) > MAX_VARINT_BYTES:
+            self._stop = "varint too long"   # unterminated and too long
+        starts = ends - lengths
+        values = (buf[starts] & 0x7F).astype(np.int64)
+        live = np.flatnonzero(lengths > 1)     # the multi-byte varints
+        for j in range(1, int(lengths.max()) if lengths.size else 0):
+            live = live[lengths[live] > j]
+            values[live] |= (buf[starts[live] + j].astype(np.int64)
+                             & 0x7F) << (7 * j)
+        self.values = values
+        self.path = path
+        self.pos = 0                    # index of the next unread value
+        self._ends = ends
+
+    def need(self, end: int) -> None:
+        """Raise unless values ``[0, end)`` were decoded."""
+        if end > self.values.size:
+            raise CorruptSummaryError(self.path, self._stop)
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` values."""
+        self.need(self.pos + count)
+        self.pos += count
+        return self.values[self.pos - count:self.pos]
+
+    @property
+    def offset(self) -> int:
+        """Bytes consumed by the values read so far."""
+        return int(self._ends[self.pos - 1]) if self.pos else 0
 
 
-def _write_pairs(out: IO[bytes], pairs: List[Edge]) -> None:
-    """Sorted pair list with first components gap-coded."""
-    ordered = sorted(pairs)
-    _write_varint(out, len(ordered))
-    previous = 0
-    for a, b in ordered:
-        _write_varint(out, a - previous)
-        _write_varint(out, b)
-        previous = a
+def _pairs_stream(pairs: List[Edge]) -> np.ndarray:
+    """Count, then the lexsorted pairs with first components gap-coded."""
+    arr = edge_array(pairs)
+    arr = arr[np.argsort(pair_keys(arr)[0])]
+    arr[:, 0] = np.diff(arr[:, 0], prepend=0)
+    return np.concatenate([[len(pairs)], arr.ravel()])
 
 
-def _read_pairs(data: bytes, pos: int,
-                path: str = "<data>") -> Tuple[List[Edge], int]:
-    count, pos = _read_varint(data, pos, path)
-    pairs: List[Edge] = []
-    previous = 0
-    for _ in range(count):
-        gap, pos = _read_varint(data, pos, path)
-        b, pos = _read_varint(data, pos, path)
-        a = previous + gap
-        pairs.append((a, b))
-        previous = a
-    return pairs, pos
+def _supernodes_stream(partition) -> np.ndarray:
+    """Per supernode, by id: ``sid``, member count, gap-coded members."""
+    node2super = partition.node2super
+    members = np.argsort(node2super, kind="stable")   # by (sid, node)
+    owners = node2super[members]
+    opens = np.diff(owners, prepend=-1) != 0
+    first = np.flatnonzero(opens)
+    gaps = np.diff(members, prepend=0)
+    gaps[first] = members[first]
+    stream = np.empty(2 * first.size + members.size, dtype=np.int64)
+    heads = first + 2 * np.arange(first.size)
+    stream[heads] = owners[first]
+    stream[heads + 1] = np.diff(first, append=members.size)
+    stream[np.arange(members.size) + 2 * np.cumsum(opens)] = gaps
+    return stream
 
 
-# ----------------------------------------------------------------------
-# public API
-# ----------------------------------------------------------------------
-class _CrcWriter:
-    """Tiny pass-through sink accumulating the CRC32 of what it writes."""
-
-    def __init__(self, out: IO[bytes]) -> None:
-        self._out = out
-        self.crc = 0
-
-    def write(self, data: bytes) -> int:
-        self.crc = zlib.crc32(data, self.crc)
-        return self._out.write(data)
+def _payload(summary: Summarization) -> bytes:
+    """Everything up to the footer: magic plus the one varint stream."""
+    stream = np.concatenate([
+        [VERSION, summary.num_nodes, summary.num_edges,
+         summary.num_supernodes],
+        _supernodes_stream(summary.partition),
+        _pairs_stream(summary.superedges),
+        _pairs_stream(summary.corrections.additions),
+        _pairs_stream(summary.corrections.deletions),
+    ]).astype(np.int64)
+    return MAGIC + encode_varints(stream)
 
 
 def _write_payload(summary: Summarization, raw: IO[bytes]) -> None:
-    out = _CrcWriter(raw)
-    out.write(MAGIC)
-    _write_varint(out, VERSION)
-    _write_varint(out, summary.num_nodes)
-    _write_varint(out, summary.num_edges)
-    sids = summary.supernode_ids()
-    _write_varint(out, len(sids))
-    for sid in sids:
-        _write_varint(out, sid)
-        members = sorted(summary.members(sid))
-        _write_varint(out, len(members))
-        previous = 0
-        for member in members:
-            _write_varint(out, member - previous)
-            previous = member
-    _write_pairs(out, list(summary.superedges))
-    _write_pairs(out, list(summary.corrections.additions))
-    _write_pairs(out, list(summary.corrections.deletions))
-    raw.write(_CRC.pack(out.crc))
-    raw.write(FOOTER_MAGIC)
+    payload = _payload(summary)
+    raw.write(payload + _CRC.pack(zlib.crc32(payload)) + FOOTER_MAGIC)
 
 
 def write_summary_binary(summary: Summarization, dest: FileOrPath) -> int:
@@ -215,42 +260,55 @@ def read_summary_binary(source: FileOrPath) -> Summarization:
             data = fh.read()
     if data[:4] != MAGIC:
         raise CorruptSummaryError(path, "not an LDMB summary file")
-    pos = 4
-    version, pos = _read_varint(data, pos, path)
-    if version not in SUPPORTED_VERSIONS:
-        raise CorruptSummaryError(path, f"unsupported version {version}")
-    if version >= 2:
-        payload = _check_footer(data, path)
-    else:
-        payload = data
-    num_nodes, pos = _read_varint(payload, pos, path)
-    num_edges, pos = _read_varint(payload, pos, path)
-    num_supers, pos = _read_varint(payload, pos, path)
-    members = {}
-    for _ in range(num_supers):
-        sid, pos = _read_varint(payload, pos, path)
-        count, pos = _read_varint(payload, pos, path)
-        mem: List[int] = []
-        previous = 0
-        for _ in range(count):
-            gap, pos = _read_varint(payload, pos, path)
-            previous += gap
-            mem.append(previous)
-        members[sid] = mem
-    superedges, pos = _read_pairs(payload, pos, path)
-    additions, pos = _read_pairs(payload, pos, path)
-    deletions, pos = _read_pairs(payload, pos, path)
-    if pos != len(payload):
+    version = VarintReader(data[4:5 + MAX_VARINT_BYTES], path).take(1)
+    if version[0] not in SUPPORTED_VERSIONS:
         raise CorruptSummaryError(
-            path, f"{len(payload) - pos} trailing bytes"
-        )
+            path, f"unsupported version {int(version[0])}")
+    payload = _check_footer(data, path) if version[0] >= 2 else data
+    stream = VarintReader(memoryview(payload)[4:], path)
+    _, num_nodes, num_edges, num_supers = stream.take(4).tolist()
+    # The one sequential step: each supernode header's offset depends on
+    # the previous supernode's member count.
+    values = stream.values
+    heads = []
+    pos = stream.pos
+    for _ in range(num_supers):
+        stream.need(pos + 2)
+        heads.append(pos)
+        pos += 2 + int(values[pos + 1])
+    stream.need(pos)
+    stream.pos = pos
+    heads_at = np.array(heads, dtype=np.int64)
+    sids = values[heads_at]
+    counts = values[heads_at + 1]
+    offsets = np.cumsum(counts) - counts
+    gaps = values[np.repeat(heads_at + 2 - offsets, counts)
+                  + np.arange(int(counts.sum()))]
+    running = np.cumsum(gaps)
+    flat = (running - np.repeat(
+        np.concatenate([[0], running])[offsets], counts)).tolist()
+    members = {
+        sid: flat[start:start + count]
+        for sid, start, count in zip(
+            sids.tolist(), offsets.tolist(), counts.tolist())
+    }
+    sections = []
+    for _ in range(3):
+        pairs = stream.take(2 * int(stream.take(1)[0])).reshape(-1, 2)
+        sections.append(edge_list(np.column_stack(
+            [np.cumsum(pairs[:, 0]), pairs[:, 1]])))
+    superedges, additions, deletions = sections
+    trailing = len(payload) - 4 - stream.offset
+    if trailing:
+        raise CorruptSummaryError(path, f"{trailing} trailing bytes")
+    del stream, values, data, payload   # release before building objects
     try:
-        return Summarization.from_members(
+        return Summarization(
             num_nodes=num_nodes,
-            members=members,
+            num_edges=num_edges,
+            partition=SupernodePartition.from_members(num_nodes, members),
             superedges=superedges,
             corrections=CorrectionSet(additions, deletions),
-            num_edges=num_edges,
             algorithm="loaded-binary",
         )
     except ValueError as exc:

@@ -9,11 +9,13 @@ paper's ``W``-update rule which iterates the smaller hashtable.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
 from ..graph.graph import Graph
+from .pairs import repeats
 
 __all__ = ["SupernodePartition"]
 
@@ -46,25 +48,42 @@ class SupernodePartition:
         """Build a partition from an explicit supernode → members mapping.
 
         The mapping must cover every node exactly once; supernode ids must
-        be node ids of one of their members (any member works).
+        be node ids of one of their members (any member works). The checks
+        run over the concatenated members, and nothing of size
+        ``num_nodes`` is allocated unless the members can cover it, so a
+        corrupt header cannot ask for an impossible array.
         """
-        part = cls.__new__(cls)
-        part._node2super = np.full(num_nodes, -1, dtype=np.int64)
-        part._members = {}
-        for sid, mem in members.items():
-            mem_list = [int(v) for v in mem]
-            if not mem_list:
-                raise ValueError(f"supernode {sid} has no members")
-            for v in mem_list:
-                if not 0 <= v < num_nodes:
-                    raise ValueError(f"member {v} out of range")
-                if part._node2super[v] != -1:
-                    raise ValueError(f"node {v} assigned to two supernodes")
-                part._node2super[v] = sid
-            part._members[int(sid)] = mem_list
-        if np.any(part._node2super < 0):
-            missing = int(np.flatnonzero(part._node2super < 0)[0])
+        if num_nodes < 0:
+            raise ValueError("num_nodes must be non-negative")
+        keys = list(members)
+        lists = [list(map(int, mem)) for mem in members.values()]
+        counts, flat = _flatten(lists)
+        out_of_range = (flat < 0) | (flat >= num_nodes)
+        repeated = np.zeros(flat.size, dtype=bool)
+        repeated[~out_of_range] = repeats(flat[~out_of_range])
+        empty, at = _first_fault(counts, out_of_range | repeated)
+        if empty is not None:
+            raise ValueError(f"supernode {keys[empty]} has no members")
+        if at is not None:
+            if out_of_range[at]:
+                raise ValueError(f"member {flat[at]} out of range")
+            raise ValueError(f"node {flat[at]} assigned to two supernodes")
+        # In range and distinct; a node is uncovered if no list holds it
+        # (the first gap in the sorted members) or its supernode id is
+        # negative. node2super is allocated only once every node is
+        # covered, so its size is backed by the members themselves.
+        sids = np.array(keys, dtype=np.int64)
+        unlabelled = np.repeat(sids < 0, counts)
+        if flat.size != num_nodes or unlabelled.any():
+            ranks = np.sort(flat)
+            gaps = np.flatnonzero(ranks != np.arange(ranks.size))
+            missing = min([int(gaps[0]) if gaps.size else int(ranks.size)]
+                          + flat[unlabelled].tolist())
             raise ValueError(f"node {missing} not covered by any supernode")
+        part = cls.__new__(cls)
+        part._node2super = np.empty(num_nodes, dtype=np.int64)
+        part._node2super[flat] = np.repeat(sids, counts)
+        part._members = dict(zip(sids.tolist(), lists))
         return part
 
     @classmethod
@@ -211,19 +230,51 @@ class SupernodePartition:
     # validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Raise if internal invariants are violated (used by tests)."""
+        """Raise if internal invariants are violated (used by tests).
+
+        Reports the first failure a member-by-member walk in supernode
+        order would meet: an empty supernode, a node seen twice, a node
+        whose ``node2super`` entry disagrees, then an uncovered node.
+        """
+        sids = list(self._members)
+        counts, flat = _flatten(list(self._members.values()))
+        owner = np.repeat(np.array(sids, dtype=np.int64), counts)
+        repeated = repeats(flat)
+        empty, at = _first_fault(
+            counts, repeated | (self._node2super[flat] != owner))
+        if empty is not None:
+            raise AssertionError(f"supernode {sids[empty]} is empty")
+        if at is not None:
+            v = flat[at]
+            if repeated[at]:
+                raise AssertionError(f"node {v} appears twice")
+            raise AssertionError(
+                f"node2super[{v}] = {self._node2super[v]} != {owner[at]}"
+            )
         seen = np.zeros(self.num_nodes, dtype=bool)
-        for sid, mem in self._members.items():
-            if not mem:
-                raise AssertionError(f"supernode {sid} is empty")
-            for v in mem:
-                if seen[v]:
-                    raise AssertionError(f"node {v} appears twice")
-                seen[v] = True
-                if self._node2super[v] != sid:
-                    raise AssertionError(
-                        f"node2super[{v}] = {self._node2super[v]} != {sid}"
-                    )
+        seen[flat] = True
         if not seen.all():
             missing = int(np.flatnonzero(~seen)[0])
             raise AssertionError(f"node {missing} not in any supernode")
+
+
+def _flatten(lists: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-list lengths and the lists' concatenation, as int64 arrays."""
+    counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    flat = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
+                       count=int(counts.sum()))
+    return counts, flat
+
+
+def _first_fault(counts: np.ndarray, bad: np.ndarray):
+    """The first fault a walk over the lists meets, in list order.
+
+    Returns ``(index of an empty list, None)``, ``(None, position of the
+    first ``bad`` member)`` or ``(None, None)``.
+    """
+    failed = np.flatnonzero(bad)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size and (not failed.size or empty[0] <= np.searchsorted(
+            np.cumsum(counts), failed[0], side="right")):
+        return int(empty[0]), None
+    return None, (int(failed[0]) if failed.size else None)

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from ..graph.graph import Graph
 from .reconstruct import reconstruction_error
+from .pairs import edge_array, isin_sorted, pair_keys, repeats, sorted_unique
 from .summary import Summarization
 
 __all__ = [
@@ -55,67 +58,70 @@ def check_summary(
 ) -> List[str]:
     """Collect structural problems (empty list = clean).
 
-    With ``graph`` provided, also verifies exact losslessness.
+    With ``graph`` provided, also verifies exact losslessness. Every
+    check is a mask over the pair arrays; Python only formats the
+    problems found.
     """
     partition = summary.partition
+    n = summary.num_nodes
 
     # Partition covers the node universe consistently.
-    problems = partition_coverage_problems(partition, summary.num_nodes)
+    problems = partition_coverage_problems(partition, n)
 
-    # Superedges must reference live supernodes.
-    live = set(partition.supernode_ids())
-    for a, b in summary.superedges:
-        if a not in live or b not in live:
-            problems.append(f"superedge ({a}, {b}) references a dead supernode")
-    seen_superedges = set()
-    for pair in summary.superedges:
-        key = (min(pair), max(pair))
-        if key in seen_superedges:
-            problems.append(f"duplicate superedge {key}")
-        seen_superedges.add(key)
+    # Superedges must reference live supernodes, once each.
+    se = edge_array(summary.superedges)
+    live = np.fromiter(partition.supernode_ids(), dtype=np.int64,
+                       count=partition.num_supernodes)
+    dead = ~np.isin(se, live).all(axis=1)
+    for a, b in se[dead].tolist():
+        problems.append(f"superedge ({a}, {b}) references a dead supernode")
+    covered = np.sort(se, axis=1)
+    for key in covered[repeats(*pair_keys(covered))].tolist():
+        problems.append(f"duplicate superedge {tuple(key)}")
 
     # Correction edges: in range, canonical, unique, and no overlap
     # between C+ and C-.
-    additions = summary.corrections.additions
-    deletions = summary.corrections.deletions
-    for label, edges in (("C+", additions), ("C-", deletions)):
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < summary.num_nodes and 0 <= v < summary.num_nodes):
+    additions = edge_array(summary.corrections.additions)
+    deletions = edge_array(summary.corrections.deletions)
+    add_keys, del_keys = pair_keys(additions, deletions)
+    in_range = {}
+    for label, edges, keys in (("C+", additions, add_keys),
+                               ("C-", deletions, del_keys)):
+        ok = ((edges >= 0) & (edges < n)).all(axis=1)
+        again = repeats(keys)
+        for i in np.flatnonzero(~ok | again).tolist():
+            u, v = edges[i].tolist()
+            if not ok[i]:
                 problems.append(f"{label} edge ({u}, {v}) out of node range")
-            if (u, v) in seen:
+            if again[i]:
                 problems.append(f"duplicate {label} edge ({u}, {v})")
-            seen.add((u, v))
-    overlap = set(additions) & set(deletions)
-    for edge in sorted(overlap):
-        problems.append(f"edge {edge} appears in both C+ and C-")
+        in_range[label] = ok
+    _, both, _ = np.intersect1d(add_keys, del_keys, return_indices=True)
+    for edge in additions[both].tolist():
+        problems.append(f"edge {tuple(edge)} appears in both C+ and C-")
 
     # C- edges only make sense inside an encoded superedge block; C+ edges
     # must not duplicate pairs a superedge already produces.
     node2super = partition.node2super
-    superedge_pairs = {
-        (min(a, b), max(a, b)) for a, b in summary.superedges
-    }
-
-    def in_range(u, v):
-        return 0 <= u < summary.num_nodes and 0 <= v < summary.num_nodes
-
-    for u, v in deletions:
-        if not in_range(u, v):
-            continue  # already reported above
-        pair = _pair_of(node2super, u, v)
-        if pair not in superedge_pairs:
-            problems.append(
-                f"C- edge ({u}, {v}) targets pair {pair} with no superedge"
-            )
-    for u, v in additions:
-        if not in_range(u, v):
-            continue
-        pair = _pair_of(node2super, u, v)
-        if pair in superedge_pairs:
-            problems.append(
-                f"C+ edge ({u}, {v}) duplicates covered pair {pair}"
-            )
+    deletions = deletions[in_range["C-"]]
+    additions = additions[in_range["C+"]]
+    del_pairs = np.sort(node2super[deletions], axis=1)
+    add_pairs = np.sort(node2super[additions], axis=1)
+    se_keys, del_pair_keys, add_pair_keys = pair_keys(covered, del_pairs,
+                                                      add_pairs)
+    se_keys = sorted_unique(se_keys)
+    orphan = ~isin_sorted(del_pair_keys, se_keys)
+    for (u, v), pair in zip(deletions[orphan].tolist(),
+                            del_pairs[orphan].tolist()):
+        problems.append(
+            f"C- edge ({u}, {v}) targets pair {tuple(pair)} with no superedge"
+        )
+    inside = isin_sorted(add_pair_keys, se_keys)
+    for (u, v), pair in zip(additions[inside].tolist(),
+                            add_pairs[inside].tolist()):
+        problems.append(
+            f"C+ edge ({u}, {v}) duplicates covered pair {tuple(pair)}"
+        )
 
     if graph is not None and not problems:
         missing, spurious = reconstruction_error(graph, summary)
@@ -125,11 +131,6 @@ def check_summary(
                 f"{len(spurious)} spurious edges"
             )
     return problems
-
-
-def _pair_of(node2super, u: int, v: int):
-    a, b = int(node2super[u]), int(node2super[v])
-    return (a, b) if a < b else (b, a)
 
 
 def validate_summary(

@@ -17,33 +17,51 @@ The output lists (superedges, additions, deletions) are element- and
 order-identical to the reference: runs are visited in the same lexsort
 order, additions keep the reference's stable within-run edge order and
 deletions keep the reference's nested member-loop order.
+
+:func:`encode_edge_arrays` is the same rule over any edge arrays, with
+arrays out: the shard stitch encodes its cut edges with it.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..core.encode import EncodeResult
+from ..core.pairs import edge_list
 from ..core.summary import CorrectionSet
 from ..obs import profile
 
-__all__ = ["encode_sorted_numpy"]
+__all__ = ["encode_sorted_numpy", "encode_edge_arrays"]
 
-Edge = Tuple[int, int]
+_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
 
 
 @profile.profiled("encode_sorted")
 def encode_sorted_numpy(graph, partition) -> EncodeResult:
     """Vectorized Algorithm 5; bit-identical to the pure-Python reference."""
-    superedges: List[Edge] = []
-    additions: List[Edge] = []
-    deletions: List[Edge] = []
     src, dst = graph.edge_arrays()
+    superedges, additions, deletions = encode_edge_arrays(
+        src, dst, graph.num_nodes, partition
+    )
+    return EncodeResult(
+        edge_list(superedges),
+        CorrectionSet(edge_list(additions), edge_list(deletions)),
+    )
+
+
+def encode_edge_arrays(
+    src: np.ndarray, dst: np.ndarray, num_nodes: int, partition
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Algorithm 5 over edge arrays (``src < dst`` per edge, no repeats).
+
+    Returns ``(superedges, additions, deletions)`` as ``(m, 2)`` int64
+    arrays, in the order :func:`encode_sorted_numpy` documents.
+    """
     if src.size == 0:
-        return EncodeResult(superedges, CorrectionSet(additions, deletions))
-    n = np.int64(graph.num_nodes)
+        return _NO_PAIRS, _NO_PAIRS, _NO_PAIRS
+    n = np.int64(num_nodes)
     node2super = partition.node2super
     sa = node2super[src]
     sb = node2super[dst]
@@ -57,7 +75,7 @@ def encode_sorted_numpy(graph, partition) -> EncodeResult:
     run_lo = lo[starts]
     run_hi = hi[starts]
     run_len = ends - starts
-    sizes = np.bincount(node2super, minlength=graph.num_nodes).astype(np.int64)
+    sizes = np.bincount(node2super, minlength=num_nodes).astype(np.int64)
     size_a = sizes[run_lo]
     size_b = sizes[run_hi]
     is_loop = run_lo == run_hi
@@ -71,16 +89,13 @@ def encode_sorted_numpy(graph, partition) -> EncodeResult:
     )
     # C+ — all edges of losing runs, in sorted-edge order.
     add_mask = ~np.repeat(wins, run_len)
-    additions.extend(
-        zip(src[add_mask].tolist(), dst[add_mask].tolist())
-    )
+    additions = np.column_stack([src[add_mask], dst[add_mask]])
     # P — winning runs in run order.
-    superedges.extend(
-        zip(run_lo[wins].tolist(), run_hi[wins].tolist())
-    )
+    superedges = np.column_stack([run_lo[wins], run_hi[wins]])
     # C- — winning runs that are not complete blocks enumerate the missing
     # member pairs (reference nested-loop order: members(a) × members(b)).
     edge_keys = src * n + dst
+    deletions = [_NO_PAIRS]
     for r in np.flatnonzero(wins & (run_len < potential)).tolist():
         a = int(run_lo[r])
         b = int(run_hi[r])
@@ -98,7 +113,5 @@ def encode_sorted_numpy(graph, partition) -> EncodeResult:
         key_hi = np.maximum(uu, vv)
         present = edge_keys[starts[r]:ends[r]]
         missing = ~np.isin(key_lo * n + key_hi, present)
-        deletions.extend(
-            zip(key_lo[missing].tolist(), key_hi[missing].tolist())
-        )
-    return EncodeResult(superedges, CorrectionSet(additions, deletions))
+        deletions.append(np.column_stack([key_lo[missing], key_hi[missing]]))
+    return superedges, additions, np.concatenate(deletions)

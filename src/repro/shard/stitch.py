@@ -8,10 +8,12 @@ universe), and then encodes every **cut edge** with the paper's own
 superedge cost rule: a cross-shard supernode pair ``(A, B)`` whose cut
 edges cover more than half of ``|A|·|B|`` becomes a cross-shard
 superedge plus ``C-`` deletions; sparser pairs put their edges in
-``C+``. The decision is literally
-:func:`repro.core.encode._encode_pair` — the same code the serial
-encoder runs — so a stitched summary prices cross-shard structure
-exactly like a whole-graph run would.
+``C+``. The cut edges go through
+:func:`repro.kernels.encode.encode_edge_arrays` — the same kernel the
+serial encoder runs over a whole graph — so a stitched summary prices
+cross-shard structure exactly like a whole-graph run would. Lifting,
+encoding and the serving cut below are array operations; no step walks
+the edges one by one.
 
 The result is **lossless by construction**: intra-shard edges are
 reproduced by the shard summaries, cut edges by the cross-shard
@@ -32,21 +34,21 @@ accuracy, at a fraction of the full index's superedge/correction state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.encode import _encode_pair
-from ..core.summary import CorrectionSet, RunStats, Summarization
+from ..core.pairs import edge_array, edge_list
 from ..core.partition import SupernodePartition
+from ..core.summary import CorrectionSet, RunStats, Summarization
 from ..core.validate import check_summary, partition_coverage_problems
 from ..graph.graph import Graph
+from ..kernels.encode import encode_edge_arrays
 from ..obs import trace as obs_trace
 from .partitioner import ShardedGraph
 
 __all__ = ["StitchReport", "stitch_shards", "shard_serving_summary"]
-
-Edge = Tuple[int, int]
 
 
 @dataclass
@@ -69,18 +71,17 @@ class StitchReport:
 def _lift_summaries(
     sharded: ShardedGraph,
     summaries: Mapping[int, Summarization],
-) -> Tuple[Dict[int, List[int]], List[Edge], List[Edge], List[Edge]]:
+) -> Tuple[Dict[int, List[int]], np.ndarray, np.ndarray, np.ndarray]:
     """Map every shard summary into global ids.
 
-    Returns (members, superedges, additions, deletions), all global. A
-    local supernode id is a local node id, so its global supernode id is
-    that node's global id — the same "supernode id is a member's node
-    id" invariant the serial pipeline keeps.
+    Returns (members, superedges, additions, deletions), all global; the
+    pairs as ``(m, 2)`` arrays. A local supernode id is a local node id,
+    so its global supernode id is that node's global id — the same
+    "supernode id is a member's node id" invariant the serial pipeline
+    keeps.
     """
     members: Dict[int, List[int]] = {}
-    superedges: List[Edge] = []
-    additions: List[Edge] = []
-    deletions: List[Edge] = []
+    superedges, additions, deletions = [], [], []
     for shard in sharded.shards:
         summary = summaries[shard.shard_id]
         if summary.num_nodes != shard.num_nodes:
@@ -89,22 +90,21 @@ def _lift_summaries(
                 f"{summary.num_nodes} nodes, expected {shard.num_nodes}"
             )
         gids = shard.global_ids
-        for sid in summary.partition.supernode_ids():
-            members[int(gids[sid])] = [
-                int(gids[v]) for v in summary.partition.members(sid)
-            ]
-        superedges.extend(
-            (int(gids[a]), int(gids[b])) for a, b in summary.superedges
-        )
-        additions.extend(
-            (int(gids[u]), int(gids[v]))
-            for u, v in summary.corrections.additions
-        )
-        deletions.extend(
-            (int(gids[u]), int(gids[v]))
-            for u, v in summary.corrections.deletions
-        )
-    return members, superedges, additions, deletions
+        local = summary.partition.members_map()
+        counts = np.fromiter(map(len, local.values()), dtype=np.int64,
+                             count=len(local))
+        flat = gids[np.fromiter(chain.from_iterable(local.values()),
+                                dtype=np.int64,
+                                count=int(counts.sum()))].tolist()
+        sids = gids[np.fromiter(local, dtype=np.int64, count=len(local))]
+        for sid, end, size in zip(sids.tolist(), np.cumsum(counts).tolist(),
+                                  counts.tolist()):
+            members[sid] = flat[end - size:end]
+        superedges.append(gids[edge_array(summary.superedges)])
+        additions.append(gids[edge_array(summary.corrections.additions)])
+        deletions.append(gids[edge_array(summary.corrections.deletions)])
+    return (members, np.concatenate(superedges), np.concatenate(additions),
+            np.concatenate(deletions))
 
 
 def stitch_shards(
@@ -137,22 +137,11 @@ def stitch_shards(
             sharded.num_nodes, members
         )
 
-        # Cut edges, bundled per cross-shard supernode pair, then priced
-        # with the serial encoder's own decision rule.
-        node2super = partition.node2super
-        bundles: Dict[Edge, List[Edge]] = {}
-        for u, v in sharded.all_cut_edges().tolist():
-            a, b = int(node2super[u]), int(node2super[v])
-            key = (a, b) if a < b else (b, a)
-            bundles.setdefault(key, []).append((int(u), int(v)))
-        cross_superedges: List[Edge] = []
-        cross_additions: List[Edge] = []
-        cross_deletions: List[Edge] = []
-        for (a, b), edges in sorted(bundles.items()):
-            _encode_pair(
-                a, b, edges, partition,
-                cross_superedges, cross_additions, cross_deletions,
-            )
+        # Cut edges, encoded with the serial encoder's own decision rule.
+        cut = sharded.all_cut_edges()
+        cross_superedges, cross_additions, cross_deletions = \
+            encode_edge_arrays(cut[:, 0], cut[:, 1], sharded.num_nodes,
+                               partition)
 
         stats = RunStats()
         for summary in summaries.values():
@@ -164,10 +153,13 @@ def stitch_shards(
             num_nodes=sharded.num_nodes,
             num_edges=sharded.num_edges,
             partition=partition,
-            superedges=superedges + cross_superedges,
+            superedges=edge_list(
+                np.concatenate([superedges, cross_superedges])),
             corrections=CorrectionSet(
-                additions=additions + cross_additions,
-                deletions=deletions + cross_deletions,
+                additions=edge_list(
+                    np.concatenate([additions, cross_additions])),
+                deletions=edge_list(
+                    np.concatenate([deletions, cross_deletions])),
             ),
             stats=stats,
             algorithm=f"ldme-sharded-{sharded.num_shards}",
@@ -210,51 +202,41 @@ def shard_serving_summary(
     ``tests/shard/test_stitch.py`` — which is why hash-ring routing must
     send each node's queries to its owning shard.
     """
-    assignment = sharded.assignment
     partition = stitched.partition
-    mine = np.flatnonzero(assignment == shard_id)
-    if mine.size == 0 and shard_id not in sharded.ring.shards:
+    node2super = partition.node2super
+    mine = sharded.assignment == shard_id
+    if not mine.any() and shard_id not in sharded.ring.shards:
         raise KeyError(f"no shard {shard_id}")
-    my_nodes = set(int(v) for v in mine)
     # Supernodes owned by this shard (every member lives here — shards
     # never split a supernode, by construction).
-    own_sids = {int(partition.node2super[v]) for v in mine}
+    owned = np.zeros(stitched.num_nodes, dtype=bool)
+    owned[node2super[mine]] = True
 
     # Superedges incident to an owned supernode; peers become ghosts.
-    ghost_sids = set()
-    superedges: List[Edge] = []
-    for a, b in stitched.superedges:
-        if a in own_sids or b in own_sids:
-            superedges.append((a, b))
-            for sid in (a, b):
-                if sid not in own_sids:
-                    ghost_sids.add(sid)
+    superedges = edge_array(stitched.superedges)
+    superedges = superedges[owned[superedges].any(axis=1)]
+    kept = owned.copy()
+    kept[superedges] = True
 
-    members: Dict[int, List[int]] = {}
-    covered = np.zeros(stitched.num_nodes, dtype=bool)
-    for sid in sorted(own_sids | ghost_sids):
-        mem = [int(v) for v in partition.members(sid)]
-        members[sid] = mem
-        covered[mem] = True
-    for v in np.flatnonzero(~covered).tolist():
-        members[int(v)] = [int(v)]
+    members: Dict[int, List[int]] = {
+        sid: partition.members(sid)
+        for sid in np.flatnonzero(kept).tolist()
+    }
+    for v in np.flatnonzero(~kept[node2super]).tolist():
+        members[v] = [v]
 
-    additions = [
-        (u, v) for u, v in stitched.corrections.additions
-        if u in my_nodes or v in my_nodes
-    ]
-    deletions = [
-        (u, v) for u, v in stitched.corrections.deletions
-        if u in my_nodes or v in my_nodes
-    ]
+    additions = edge_array(stitched.corrections.additions)
+    deletions = edge_array(stitched.corrections.deletions)
     return Summarization(
         num_nodes=stitched.num_nodes,
         num_edges=stitched.num_edges,
         partition=SupernodePartition.from_members(
             stitched.num_nodes, members
         ),
-        superedges=superedges,
-        corrections=CorrectionSet(additions=additions,
-                                  deletions=deletions),
+        superedges=edge_list(superedges),
+        corrections=CorrectionSet(
+            additions=edge_list(additions[mine[additions].any(axis=1)]),
+            deletions=edge_list(deletions[mine[deletions].any(axis=1)]),
+        ),
         algorithm=f"{stitched.algorithm}/shard-{shard_id}",
     )
