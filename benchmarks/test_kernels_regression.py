@@ -1,29 +1,32 @@
 """Kernel benchmark-regression harness (see docs/performance.md).
 
-Times the three vectorized hot-path kernels against their pure-Python
-references on G(n, p) graphs of ~10^4, 10^5 and 10^6 edges (plus a 10^7
-rung behind the ``slow`` marker):
+Times the three vectorized hot-path kernels against their plain-Python
+oracles (``tests/oracles/kernels.py``) on G(n, p) graphs of ~10^4, 10^5
+and 10^6 edges (plus a 10^7 rung behind the ``slow`` marker). Records
+keep the ``backend`` label: ``python`` rows time the oracle, ``numpy``
+rows the kernel every caller runs.
 
 * ``w_build`` — group-local ``W`` construction (Algorithm 4's hashtable):
   :class:`~repro.core.saving.GroupAdjacency` over fixed-size chunks of
   supernodes. Chunks rather than a real LSH divide: G(n, p) graphs have no
   cluster structure, so a divide yields almost no collision groups and the
   phase would time an empty loop. Chunking touches every edge exactly once
-  per backend — the same total work a merge iteration's W builds do.
+  per implementation — the same total work a merge iteration's W builds
+  do.
 * ``doph_bulk`` — bulk DOPH signatures for all supernodes (Algorithm 2),
   the divide step's dominant cost. Since the chunked cache-blocked scatter
-  landed this is gated at >= 15x over the python reference on the
-  10^6-edge graph.
+  landed this is gated at >= 15x over the oracle on the 10^6-edge graph.
 * ``encode`` — sort-based output encoding (Algorithm 5).
 
-Each phase runs ``REPEATS`` times per backend and the minimum wall time is
-kept (:meth:`PhaseTimer.best_seconds`). Results land in ``BENCH_kernels.json`` at the repo root — the
-machine-readable perf trajectory future PRs regress against. Writers
-merge by graph label instead of clobbering the file, so the slow 10^7
-rows survive a fast re-run and vice versa. The backend gate is
-deliberately loose (numpy must simply not lose to python on the
-10^5-edge graph) so CI stays robust to noisy shared runners; the
-committed JSON records the real speedups from a quiet machine.
+Each phase runs ``REPEATS`` times per implementation and the minimum
+wall time is kept (:meth:`PhaseTimer.best_seconds`). Results land in
+``BENCH_kernels.json`` at the repo root — the machine-readable perf
+trajectory future PRs regress against. Writers merge by graph label
+instead of clobbering the file, so the slow 10^7 rows survive a fast
+re-run and vice versa. The kernel-vs-oracle gate is deliberately loose
+(no kernel may lose to its oracle on the 10^5-edge graph) so CI stays
+robust to noisy shared runners; the committed JSON records the real
+speedups from a quiet machine.
 
 Run with ``-s`` to see the per-phase table::
 
@@ -44,9 +47,18 @@ from repro.graph.generators import erdos_renyi
 from repro.lsh.doph import doph_signatures_bulk
 from repro.lsh.permutation import random_permutation
 from repro.metrics import PhaseTimer, write_bench
+from tests.oracles import kernels as oracle
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
-BACKENDS = ("python", "numpy")
+#: ``backend`` label -> (DOPH bulk, W build, encode) implementations.
+IMPLEMENTATIONS = {
+    "python": (oracle.doph_signatures_bulk, oracle.group_w,
+               oracle.encode_sorted),
+    "numpy": (doph_signatures_bulk,
+              lambda graph, partition, group:
+              GroupAdjacency(graph, partition, group).w,
+              encode_sorted),
+}
 PHASES = ("w_build", "doph_bulk", "encode")
 REPEATS = 3
 K = 8
@@ -97,7 +109,7 @@ def _paired_partition(num_nodes: int) -> SupernodePartition:
 
 
 def _time_phases(timer: PhaseTimer, label: str, graph) -> None:
-    """Record all phase x backend timings for one benchmark graph.
+    """Record all phase x implementation timings for one benchmark graph.
 
     Each kernel is timed in the partition regime where it dominates a real
     run: DOPH at the singleton partition (the first divide hashes one row
@@ -125,17 +137,15 @@ def _time_phases(timer: PhaseTimer, label: str, graph) -> None:
     paired = _paired_partition(n)
 
     for _ in range(REPEATS):
-        for backend in BACKENDS:
+        for backend, (doph, w_build, encode) in IMPLEMENTATIONS.items():
             with timer.phase("doph_bulk", graph=label, backend=backend):
-                doph_signatures_bulk(
-                    rows, graph.indices, int(sids.size), perm, K,
-                    directions, backend=backend,
-                )
+                doph(rows, graph.indices, int(sids.size), perm, K,
+                     directions)
             with timer.phase("w_build", graph=label, backend=backend):
                 for group in groups:
-                    GroupAdjacency(graph, coarse, group, kernels=backend)
+                    w_build(graph, coarse, group)
             with timer.phase("encode", graph=label, backend=backend):
-                encode_sorted(graph, paired, backend=backend)
+                encode(graph, paired)
 
 
 def _speedups(timer: PhaseTimer, labels) -> dict:
@@ -228,21 +238,21 @@ def test_kernels_regression():
     _report(timer, labels)
 
     assert BENCH_PATH.exists()
-    # CI smoke gate: the vectorized backend must not lose to the reference
-    # on the 10^5-edge graph (the acceptance graph; see ISSUE/ROADMAP).
-    for name in ("w_build", "doph_bulk"):
+    # CI smoke gate: no kernel may lose to its oracle on the 10^5-edge
+    # graph.
+    for name in PHASES:
         py = timer.best_seconds(name, graph="1e5", backend="python")
         nx = timer.best_seconds(name, graph="1e5", backend="numpy")
         assert py is not None and nx is not None
         assert nx <= py, (
-            f"numpy {name} slower than python on 1e5 graph: {nx:.4f}s "
-            f"vs {py:.4f}s"
+            f"{name} kernel slower than its oracle on 1e5 graph: "
+            f"{nx:.4f}s vs {py:.4f}s"
         )
     # The chunked cache-blocked scatter must hold its 10^6-edge win: the
     # pre-chunking kernel recorded 6.98x here, the blocked one ~20x.
     assert speedups["1e6/doph_bulk"] >= 15, (
         f"chunked DOPH scatter regressed: {speedups['1e6/doph_bulk']}x "
-        "< 15x over python on the 1e6 graph"
+        "< 15x over the oracle on the 1e6 graph"
     )
 
 
@@ -251,8 +261,8 @@ def test_kernels_regression_1e7():
     """The 10^7-edge rung: same phases, behind ``-m slow``.
 
     Merges its rows into ``BENCH_kernels.json`` next to the fast ladder's
-    rather than clobbering them. No backend gate here — the committed
-    JSON is the record; the fast test carries the CI gates.
+    rather than clobbering them. No kernel-vs-oracle gate here — the
+    committed JSON is the record; the fast test carries the CI gates.
     """
     timer = PhaseTimer()
     graph_meta = _run_ladder(timer, GRAPH_SIZES_SLOW)

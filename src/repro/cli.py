@@ -57,11 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--epsilon", type=float, default=0.0,
                        help="lossy error bound (0 = lossless)")
     p_sum.add_argument("--seed", type=int, default=0)
-    p_sum.add_argument("--kernels", choices=("numpy", "python"),
-                       default="numpy",
-                       help="hot-path backend for LDME: vectorized numpy "
-                            "kernels (default) or the pure-Python reference "
-                            "(bit-identical output; see docs/performance.md)")
     p_sum.add_argument("--output", "-o", help="write the summary to this path")
     p_sum.add_argument("--resume-from", metavar="CKPT",
                        help="warm-start from a partition checkpoint")
@@ -80,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "as JSONL to PATH")
     p_sum.add_argument("--profile", action="store_true",
                        help="print per-kernel self-time attribution after "
-                            "the run (numpy kernels)")
+                            "the run")
     p_sum.add_argument("--no-resume", action="store_true",
                        help="ignore existing checkpoints in "
                             "--checkpoint-dir and start fresh")
@@ -236,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="DOPH signature length")
     p_shs.add_argument("--iterations", "-T", type=int, default=20)
     p_shs.add_argument("--seed", type=int, default=0)
-    p_shs.add_argument("--kernels", choices=("numpy", "python"),
-                       default="numpy")
     p_shs.add_argument("--virtual-nodes", type=int, default=64,
                        help="ring points per shard (balance knob)")
     p_shs.add_argument("--checkpoint-dir", metavar="DIR",
@@ -402,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="DOPH signature length")
     p_mig.add_argument("--iterations", "-T", type=int, default=20)
     p_mig.add_argument("--seed", type=int, default=0)
-    p_mig.add_argument("--kernels", choices=("numpy", "python"),
-                       default="numpy")
     p_mig.add_argument("--no-validate", action="store_true",
                        help="skip the stitched-summary losslessness proof")
     return parser
@@ -463,7 +454,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
             iterations=args.iterations,
             epsilon=args.epsilon,
             seed=args.seed,
-            kernels=args.kernels,
         )
     else:
         algo = SWeG(
@@ -851,7 +841,6 @@ def _cmd_shard_summarize(args: argparse.Namespace) -> int:
         k=args.k,
         iterations=args.iterations,
         seed=args.seed,
-        kernels=args.kernels,
         virtual_nodes=args.virtual_nodes,
         checkpoint_dir=args.checkpoint_dir,
         out_dir=args.out,
@@ -1054,7 +1043,6 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
             k=args.k,
             iterations=args.iterations,
             seed=args.seed,
-            kernels=args.kernels,
             validate=not args.no_validate,
         )
         print(f"bootstrapped {store.current()}: "
@@ -1074,7 +1062,6 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
         k=args.k,
         iterations=args.iterations,
         seed=args.seed,
-        kernels=args.kernels,
         validate=not args.no_validate,
         on_step=on_step,
     )

@@ -77,7 +77,6 @@ class BaseSummarizer(ABC):
         cost_model: str = "exact",
         early_stop_rounds: int = 0,
         track_compression: bool = False,
-        kernels: str = "numpy",
     ) -> None:
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -87,16 +86,11 @@ class BaseSummarizer(ABC):
             raise ValueError("encoder must be 'sorted' or 'per-supernode'")
         if early_stop_rounds < 0:
             raise ValueError("early_stop_rounds must be non-negative")
-        if kernels not in ("python", "numpy"):
-            raise ValueError("kernels must be 'python' or 'numpy'")
         self.iterations = iterations
         self.epsilon = epsilon
         self.seed = seed
         self.encoder = encoder
         self.cost_model = cost_model
-        # Hot-path backend for W construction, bulk DOPH and the sorted
-        # encode; "python" keeps the differential-testing reference.
-        self.kernels = kernels
         # Extension beyond the paper: stop once this many consecutive
         # iterations produced zero merges (0 disables the check).
         self.early_stop_rounds = early_stop_rounds
@@ -233,16 +227,13 @@ class BaseSummarizer(ABC):
             key=f"{self.name}/{self.seed}",
             algorithm=self.name,
             seed=self.seed,
-            kernels=self.kernels,
             iterations=self.iterations,
             num_nodes=graph.num_nodes,
             num_edges=graph.num_edges,
         ) as run_span:
             for t in range(start_iteration, self.iterations + 1):
                 with obs_trace.span("iteration", key=t) as iter_span:
-                    with obs_trace.span(
-                        "divide", key=t, backend=self.kernels
-                    ) as divide_span:
+                    with obs_trace.span("divide", key=t) as divide_span:
                         tic = time.perf_counter()
                         groups, divide_stats = self.divide(
                             graph, partition, rng
@@ -280,14 +271,8 @@ class BaseSummarizer(ABC):
                         "ldme_merge_candidates_scored_total",
                         merge_stats.candidates_scored,
                     )
-                    obs_metrics.observe(
-                        "ldme_divide_seconds", divide_seconds,
-                        labels={"backend": self.kernels},
-                    )
-                    obs_metrics.observe(
-                        "ldme_merge_seconds", merge_seconds,
-                        labels={"backend": self.kernels},
-                    )
+                    obs_metrics.observe("ldme_divide_seconds", divide_seconds)
+                    obs_metrics.observe("ldme_merge_seconds", merge_seconds)
 
                     stats.divide_seconds += divide_seconds
                     stats.merge_seconds += merge_seconds
@@ -304,9 +289,7 @@ class BaseSummarizer(ABC):
                         with obs_trace.span("encode", key=t):
                             tic = time.perf_counter()
                             snapshot = (
-                                encode_sorted(
-                                    graph, partition, backend=self.kernels
-                                )
+                                encode_sorted(graph, partition)
                                 if self.encoder == "sorted"
                                 else encode_per_supernode(graph, partition)
                             )
@@ -342,14 +325,11 @@ class BaseSummarizer(ABC):
                 if self.early_stop_rounds and stalled >= self.early_stop_rounds:
                     break
             with obs_trace.span(
-                "encode", key="final", backend=self.kernels,
-                encoder=self.encoder,
+                "encode", key="final", encoder=self.encoder
             ) as encode_span:
                 tic = time.perf_counter()
                 if self.encoder == "sorted":
-                    encoded = encode_sorted(
-                        graph, partition, backend=self.kernels
-                    )
+                    encoded = encode_sorted(graph, partition)
                 else:
                     encoded = encode_per_supernode(graph, partition)
                 stats.encode_seconds = time.perf_counter() - tic
@@ -373,10 +353,7 @@ class BaseSummarizer(ABC):
                 "ldme_correction_deletions_total",
                 len(encoded.corrections.deletions),
             )
-            obs_metrics.observe(
-                "ldme_encode_seconds", stats.encode_seconds,
-                labels={"backend": self.kernels},
-            )
+            obs_metrics.observe("ldme_encode_seconds", stats.encode_seconds)
 
             result = Summarization(
                 num_nodes=graph.num_nodes,

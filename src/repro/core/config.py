@@ -29,12 +29,6 @@ class LDMEConfig:
     encoder:
         ``"sorted"`` (Algorithm 5, default) or ``"per-supernode"``
         (SWeG-style baseline encoder) — exposed for ablations.
-    kernels:
-        Hot-path backend: ``"numpy"`` (default — vectorized kernels from
-        :mod:`repro.kernels` for W construction, bulk DOPH and the sorted
-        encode) or ``"python"`` (the pure-Python reference the kernels are
-        differential-tested against). Results are bit-identical; the knob
-        exists for testing and for perf regression baselines.
     """
 
     k: int = 5
@@ -43,7 +37,6 @@ class LDMEConfig:
     cost_model: str = "exact"
     seed: int = 0
     encoder: str = "sorted"
-    kernels: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -56,5 +49,3 @@ class LDMEConfig:
             raise ValueError("cost_model must be 'exact' or 'paper'")
         if self.encoder not in ("sorted", "per-supernode"):
             raise ValueError("encoder must be 'sorted' or 'per-supernode'")
-        if self.kernels not in ("python", "numpy"):
-            raise ValueError("kernels must be 'python' or 'numpy'")

@@ -65,7 +65,6 @@ def lsh_divide(
     seed: SeedLike = None,
     weights: str = "binary",
     weight_cap: int = 4,
-    kernels: str = "numpy",
 ) -> Tuple[List[List[int]], DivideStats]:
     """Weighted-LSH divide (Algorithm 3), fully vectorized.
 
@@ -80,11 +79,6 @@ def lsh_divide(
     binarized supervector) or ``"expanded"`` (the Shrivastava 2016
     weight-expansion — true ``w(A, ·)`` weights up to ``weight_cap``; see
     :mod:`repro.lsh.weighted_doph`).
-
-    ``kernels`` picks the signature backend on the binary path:
-    ``"numpy"`` (the bulk scatter kernel) or ``"python"`` (the per-node
-    scalar reference loop). The groups are identical either way; the
-    expanded-weights path is always bulk.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -97,13 +91,12 @@ def lsh_divide(
     head_supers = partition.node2super[heads]
     sids, rows = np.unique(head_supers, return_inverse=True)
     with obs_trace.span(
-        "signatures", key="sig", backend=kernels, weights=weights,
+        "signatures", key="sig", weights=weights
     ) as sig_span:
         if weights == "binary":
             perm = random_permutation(max(1, n), rng)
             signatures = doph_signatures_bulk(
-                rows, graph.indices, sids.size, perm, k, directions,
-                backend=kernels,
+                rows, graph.indices, sids.size, perm, k, directions
             )
         else:
             from ..lsh.weighted_doph import weighted_doph_signatures_bulk

@@ -8,8 +8,8 @@ Two encoders share the same decision rule (Section 2):
 * For ``A == B``: encode a superloop iff ``|E_AA| > |A|(|A|-1)/4``.
 
 :func:`encode_sorted` is LDME's Algorithm 5 — tag every edge with its
-candidate superedge, lexicographically sort, and linearly scan group runs.
-Work is ``O(|E| log |E|)`` regardless of ``|S|``.
+candidate superedge, sort once, and decide every group run with array
+operations. Work is ``O(|E| log |E|)`` regardless of ``|S|``.
 
 :func:`encode_per_supernode` is the "more careful implementation" of SWeG's
 encoder the paper describes: iterate supernodes, build a per-supernode
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from ..graph.graph import Graph
+from ..kernels.encode import encode_edge_arrays
+from ..obs import profile
+from .pairs import edge_list
 from .partition import SupernodePartition
 from .summary import CorrectionSet
 
@@ -96,51 +97,24 @@ def _encode_pair(
                 deletions.append(key)
 
 
-def encode_sorted(
-    graph: Graph,
-    partition: SupernodePartition,
-    backend: str = "python",
-) -> EncodeResult:
+@profile.profiled("encode_sorted")
+def encode_sorted(graph: Graph, partition: SupernodePartition) -> EncodeResult:
     """LDME's sort-based encoder (Algorithm 5).
 
-    Builds the candidate-superedge key for every original edge with two
-    vectorized gathers, lexsorts, and scans runs — no per-supernode
-    adjacency materialization. ``backend="numpy"`` swaps in the
-    array-native kernel (:func:`repro.kernels.encode.encode_sorted_numpy`),
-    which produces element- and order-identical output without per-edge
-    Python tuples; ``"python"`` (default) runs the reference scan below.
+    Tags every edge with its candidate superedge, sorts once and decides
+    every group run with array operations
+    (:func:`repro.kernels.encode.encode_edge_arrays`) — no per-supernode
+    adjacency materialization and no per-edge Python tuples until the
+    result lists are built.
     """
-    if backend == "numpy":
-        from ..kernels.encode import encode_sorted_numpy
-
-        return encode_sorted_numpy(graph, partition)
-    if backend != "python":
-        raise ValueError("backend must be 'python' or 'numpy'")
-    superedges: List[Edge] = []
-    additions: List[Edge] = []
-    deletions: List[Edge] = []
     src, dst = graph.edge_arrays()
-    if src.size == 0:
-        return EncodeResult(superedges, CorrectionSet(additions, deletions))
-    node2super = partition.node2super
-    sa = node2super[src]
-    sb = node2super[dst]
-    lo = np.minimum(sa, sb)
-    hi = np.maximum(sa, sb)
-    order = np.lexsort((hi, lo))
-    lo, hi, src, dst = lo[order], hi[order], src[order], dst[order]
-    # Run boundaries: positions where the candidate superedge changes.
-    change = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [lo.size]])
-    src_list = src.tolist()
-    dst_list = dst.tolist()
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        a = int(lo[start])
-        b = int(hi[start])
-        bundle = list(zip(src_list[start:end], dst_list[start:end]))
-        _encode_pair(a, b, bundle, partition, superedges, additions, deletions)
-    return EncodeResult(superedges, CorrectionSet(additions, deletions))
+    superedges, additions, deletions = encode_edge_arrays(
+        src, dst, graph.num_nodes, partition
+    )
+    return EncodeResult(
+        edge_list(superedges),
+        CorrectionSet(edge_list(additions), edge_list(deletions)),
+    )
 
 
 def encode_per_supernode(

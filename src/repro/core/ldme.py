@@ -52,7 +52,6 @@ class LDME(BaseSummarizer):
         early_stop_rounds: int = 0,
         divide_weights: str = "binary",
         track_compression: bool = False,
-        kernels: str = "numpy",
         config: Optional[LDMEConfig] = None,
     ) -> None:
         if config is not None:
@@ -62,7 +61,6 @@ class LDME(BaseSummarizer):
             seed = config.seed
             cost_model = config.cost_model
             encoder = config.encoder
-            kernels = config.kernels
         super().__init__(
             iterations=iterations,
             epsilon=epsilon,
@@ -71,7 +69,6 @@ class LDME(BaseSummarizer):
             cost_model=cost_model,
             early_stop_rounds=early_stop_rounds,
             track_compression=track_compression,
-            kernels=kernels,
         )
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -93,8 +90,7 @@ class LDME(BaseSummarizer):
     ) -> Tuple[List[List[int]], DivideStats]:
         """Weighted-LSH divide with a fresh DOPH hasher per iteration."""
         return lsh_divide(
-            graph, partition, self.k, rng, weights=self.divide_weights,
-            kernels=self.kernels,
+            graph, partition, self.k, rng, weights=self.divide_weights
         )
 
     def merge_context(
@@ -105,10 +101,10 @@ class LDME(BaseSummarizer):
     ) -> Dict[str, Any]:
         """One ``W`` table over every mergeable group of the iteration.
 
-        Exact policy with the numpy backend only; each group slices its
-        rows from the table when its merge loop starts.
+        Exact policy only; each group slices its rows from the table when
+        its merge loop starts.
         """
-        if self.merge_policy != "exact" or self.kernels != "numpy":
+        if self.merge_policy != "exact":
             return {}
         mergeable = [group for group in groups if len(group) >= 2]
         if not mergeable:
@@ -134,12 +130,11 @@ class LDME(BaseSummarizer):
         if self.merge_policy == "exact":
             return merge_group_exact(
                 graph, partition, group, threshold, rng,
-                cost_model=self.cost_model, kernels=self.kernels,
-                table=table,
+                cost_model=self.cost_model, table=table,
             )
         return merge_group_superjaccard(
             graph, partition, group, threshold, rng,
-            cost_model=self.cost_model, kernels=self.kernels,
+            cost_model=self.cost_model,
         )
 
 

@@ -66,24 +66,20 @@ def merge_group_exact(
     threshold: float,
     seed: SeedLike = None,
     cost_model: str = "exact",
-    kernels: str = "python",
     table: Optional[wtable.WTable] = None,
 ) -> MergeStats:
     """LDME merge loop: candidates scored by exact Saving via ``W``.
 
     Mutates ``partition`` in place and returns merge statistics.
-    ``kernels`` picks the ``W``-construction backend (see
-    :class:`~repro.core.saving.GroupAdjacency`); the merge decisions are
-    identical under either backend. ``table`` is an iteration-wide ``W``
-    table holding this group's rows (numpy backend only).
+    ``table`` is an iteration-wide ``W`` table holding this group's rows
+    (see :class:`~repro.core.saving.GroupAdjacency`).
     """
     rng = _rng(seed)
     stats = MergeStats()
     if len(group) < 2:
         return stats
     adjacency = GroupAdjacency(
-        graph, partition, group, cost_model=cost_model, kernels=kernels,
-        table=table,
+        graph, partition, group, cost_model=cost_model, table=table
     )
     temp = list(group)
     while temp:
@@ -121,7 +117,6 @@ def merge_group_superjaccard(
     threshold: float,
     seed: SeedLike = None,
     cost_model: str = "exact",
-    kernels: str = "python",
 ) -> MergeStats:
     """SWeG merge loop: candidates ranked by SuperJaccard, Saving checked once.
 
@@ -133,9 +128,7 @@ def merge_group_superjaccard(
     stats = MergeStats()
     if len(group) < 2:
         return stats
-    adjacency = GroupAdjacency(
-        graph, partition, group, cost_model=cost_model, kernels=kernels
-    )
+    adjacency = GroupAdjacency(graph, partition, group, cost_model=cost_model)
     vectors: Dict[int, Dict[int, int]] = {
         sid: partition.supervector(graph, sid) for sid in group
     }

@@ -60,15 +60,10 @@ class GroupAdjacency:
         entries, but second-level keys may reference any adjacent supernode.
     cost_model:
         ``"exact"`` or ``"paper"`` (see :mod:`repro.core.cost`).
-    kernels:
-        ``"python"`` builds ``W`` with the reference dict loop; ``"numpy"``
-        uses the vectorized kernel (:func:`repro.kernels.wtable.
-        build_w_table`). The tables are equal either way — the differential
-        suite under ``tests/kernels/`` machine-checks it.
     table:
         An iteration-wide :class:`~repro.kernels.wtable.WTable` holding
-        this group's rows (``kernels="numpy"`` only); without one, a
-        one-group table is built.
+        this group's rows; without one, a one-group table is built
+        (:func:`repro.kernels.wtable.build_w_table`).
     """
 
     def __init__(
@@ -77,7 +72,6 @@ class GroupAdjacency:
         partition: SupernodePartition,
         group_ids: Iterable[int],
         cost_model: str = "exact",
-        kernels: str = "python",
         table: Optional[wtable.WTable] = None,
     ) -> None:
         get_cost_model(cost_model)  # validates the name
@@ -85,26 +79,9 @@ class GroupAdjacency:
         self._sizes = _Sizes(partition)
         self._cost_cache: Dict[int, float] = {}
         group_ids = list(group_ids)
-        if kernels == "numpy":
-            if table is None:
-                table = wtable.build_w_table(graph, partition, [group_ids])
-            self.w = table.group_w(partition, group_ids)
-            return
-        if kernels != "python":
-            raise ValueError("kernels must be 'python' or 'numpy'")
-        self.w: Dict[int, Dict[int, int]] = {}
-        node2super = partition.node2super
-        for sid in group_ids:
-            counts: Dict[int, int] = {}
-            for v in partition.members(sid):
-                # One gather per member row; no per-neighbour id round-trips.
-                for c in node2super[graph.neighbors(v)].tolist():
-                    counts[c] = counts.get(c, 0) + 1
-            internal = counts.pop(sid, 0)
-            if internal:
-                # Each internal undirected edge was seen from both endpoints.
-                counts[sid] = internal // 2
-            self.w[sid] = counts
+        if table is None:
+            table = wtable.build_w_table(graph, partition, [group_ids])
+        self.w: Dict[int, Dict[int, int]] = table.group_w(partition, group_ids)
 
     # ------------------------------------------------------------------
     def edge_count(self, a: int, c: int) -> int:

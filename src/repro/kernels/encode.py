@@ -1,54 +1,40 @@
 """Array-native sort-based encode (Algorithm 5).
 
-The reference :func:`repro.core.encode.encode_sorted` lexsorts the edge
-list once but still materializes a Python tuple for *every* edge and walks
-every group run through ``_encode_pair``. This kernel keeps the whole
-decision rule in arrays:
+The decision rule stays in arrays end to end:
 
+* one stable ``argsort`` of the packed candidate-superedge key
+  ``lo·n + hi`` groups the edges into runs, one per supernode pair,
 * one pass computes every run's edge count, supernode sizes and the
   superedge decision (``2·|E_AB| > |A||B|``, resp. the superloop rule),
-* ``C+`` additions are a single boolean mask over the sorted edge arrays
-  (no per-run bundles),
-* only runs that won a superedge *and* are incomplete blocks enumerate
-  their missing pairs — and each such run does so with a vectorized
-  member cross-product plus one ``np.isin``.
+* ``C+`` additions are a single boolean mask over the sorted edge arrays,
+* ``C−`` is one segmented cross product over the runs that won a
+  superedge but are incomplete blocks: a members CSR over their
+  supernodes expands each run's ``|A|·|B|`` member pairs with
+  ``repeat``/``cumsum`` (superloops keep only ``i < j``), and one
+  :func:`~repro.core.pairs.isin_sorted` against the edge keys drops the
+  pairs that are present. A winning run has more than half of its block
+  present, so the candidates number ``O(|E|)``.
 
-The output lists (superedges, additions, deletions) are element- and
-order-identical to the reference: runs are visited in the same lexsort
-order, additions keep the reference's stable within-run edge order and
-deletions keep the reference's nested member-loop order.
-
-:func:`encode_edge_arrays` is the same rule over any edge arrays, with
-arrays out: the shard stitch encodes its cut edges with it.
+The output order is fixed: runs ascend by ``(lo, hi)``, additions keep
+the input edge order within a run (the sort is stable) and deletions
+follow the nested member loops ``members(A) × members(B)`` (for a
+superloop, ``members[i] × members[i+1:]``) in ``partition.members``
+order. ``tests/oracles/kernels.py`` holds the per-run scalar scan this
+order is checked against.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Tuple
 
 import numpy as np
 
-from ..core.encode import EncodeResult
-from ..core.pairs import edge_list
-from ..core.summary import CorrectionSet
-from ..obs import profile
+from ..core.pairs import isin_sorted
 
-__all__ = ["encode_sorted_numpy", "encode_edge_arrays"]
+__all__ = ["encode_edge_arrays"]
 
 _NO_PAIRS = np.empty((0, 2), dtype=np.int64)
-
-
-@profile.profiled("encode_sorted")
-def encode_sorted_numpy(graph, partition) -> EncodeResult:
-    """Vectorized Algorithm 5; bit-identical to the pure-Python reference."""
-    src, dst = graph.edge_arrays()
-    superedges, additions, deletions = encode_edge_arrays(
-        src, dst, graph.num_nodes, partition
-    )
-    return EncodeResult(
-        edge_list(superedges),
-        CorrectionSet(edge_list(additions), edge_list(deletions)),
-    )
 
 
 def encode_edge_arrays(
@@ -57,7 +43,7 @@ def encode_edge_arrays(
     """Algorithm 5 over edge arrays (``src < dst`` per edge, no repeats).
 
     Returns ``(superedges, additions, deletions)`` as ``(m, 2)`` int64
-    arrays, in the order :func:`encode_sorted_numpy` documents.
+    arrays, in the order the module docstring documents.
     """
     if src.size == 0:
         return _NO_PAIRS, _NO_PAIRS, _NO_PAIRS
@@ -65,16 +51,12 @@ def encode_edge_arrays(
     node2super = partition.node2super
     sa = node2super[src]
     sb = node2super[dst]
-    lo = np.minimum(sa, sb)
-    hi = np.maximum(sa, sb)
-    order = np.lexsort((hi, lo))
-    lo, hi, src, dst = lo[order], hi[order], src[order], dst[order]
-    change = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [lo.size]])
-    run_lo = lo[starts]
-    run_hi = hi[starts]
-    run_len = ends - starts
+    key = np.minimum(sa, sb) * n + np.maximum(sa, sb)
+    order = np.argsort(key, kind="stable")
+    key, src, dst = key[order], src[order], dst[order]
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    run_len = np.diff(np.append(starts, key.size))
+    run_lo, run_hi = np.divmod(key[starts], n)
     sizes = np.bincount(node2super, minlength=num_nodes).astype(np.int64)
     size_a = sizes[run_lo]
     size_b = sizes[run_hi]
@@ -84,34 +66,58 @@ def encode_edge_arrays(
     potential = np.where(
         is_loop, size_a * (size_a - 1) // 2, size_a * size_b
     )
-    wins = np.where(
-        is_loop, 4 * run_len > size_a * (size_a - 1), 2 * run_len > size_a * size_b
-    )
+    wins = 2 * run_len > potential
     # C+ — all edges of losing runs, in sorted-edge order.
     add_mask = ~np.repeat(wins, run_len)
     additions = np.column_stack([src[add_mask], dst[add_mask]])
     # P — winning runs in run order.
     superedges = np.column_stack([run_lo[wins], run_hi[wins]])
-    # C- — winning runs that are not complete blocks enumerate the missing
-    # member pairs (reference nested-loop order: members(a) × members(b)).
-    edge_keys = src * n + dst
-    deletions = [_NO_PAIRS]
-    for r in np.flatnonzero(wins & (run_len < potential)).tolist():
-        a = int(run_lo[r])
-        b = int(run_hi[r])
-        if a != b:
-            mem_a = np.asarray(partition.members(a), dtype=np.int64)
-            mem_b = np.asarray(partition.members(b), dtype=np.int64)
-            uu = np.repeat(mem_a, mem_b.size)
-            vv = np.tile(mem_b, mem_a.size)
-        else:
-            mem = np.asarray(partition.members(a), dtype=np.int64)
-            iu, iv = np.triu_indices(mem.size, k=1)
-            uu = mem[iu]
-            vv = mem[iv]
-        key_lo = np.minimum(uu, vv)
-        key_hi = np.maximum(uu, vv)
-        present = edge_keys[starts[r]:ends[r]]
-        missing = ~np.isin(key_lo * n + key_hi, present)
-        deletions.append(np.column_stack([key_lo[missing], key_hi[missing]]))
-    return superedges, additions, np.concatenate(deletions)
+    incomplete = wins & (run_len < potential)
+    if not incomplete.any():
+        return superedges, additions, _NO_PAIRS
+    in_block = np.repeat(incomplete, run_len)
+    present = np.sort(src[in_block] * n + dst[in_block])
+    return superedges, additions, _missing_pairs(
+        run_lo[incomplete], run_hi[incomplete], partition, present, n
+    )
+
+
+def _missing_pairs(
+    run_lo: np.ndarray, run_hi: np.ndarray, partition,
+    present: np.ndarray, n: np.int64,
+) -> np.ndarray:
+    """``C−`` of the given winning runs: the block pairs not ``present``.
+
+    One segmented cross product over all runs; ``present`` holds the
+    ascending ``lo·n + hi`` keys of every edge in those runs.
+    """
+    sids, slot = np.unique(
+        np.concatenate([run_lo, run_hi]), return_inverse=True
+    )
+    member_lists = [partition.members(sid) for sid in sids.tolist()]
+    counts = np.fromiter(
+        map(len, member_lists), dtype=np.int64, count=len(member_lists)
+    )
+    members = np.fromiter(
+        chain.from_iterable(member_lists), dtype=np.int64,
+        count=int(counts.sum()),
+    )
+    offsets = np.cumsum(counts) - counts
+    runs = run_lo.size
+    a_slot, b_slot = slot[:runs], slot[runs:]
+    width = counts[b_slot]
+    block = counts[a_slot] * width
+    run_of = np.repeat(np.arange(runs), block)
+    # Position within the run's block, row-major over (i, j).
+    local = np.arange(run_of.size, dtype=np.int64) - np.repeat(
+        np.cumsum(block) - block, block
+    )
+    i, j = np.divmod(local, width[run_of])
+    keep = (i < j) | (run_lo != run_hi)[run_of]
+    run_of, i, j = run_of[keep], i[keep], j[keep]
+    u = members[offsets[a_slot][run_of] + i]
+    v = members[offsets[b_slot][run_of] + j]
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    missing = ~isin_sorted(lo * n + hi, present)
+    return np.column_stack([lo[missing], hi[missing]])

@@ -1,9 +1,7 @@
 """Vectorized ``W`` construction (Algorithm 4's hashtable).
 
-The reference implementation (:class:`repro.core.saving.GroupAdjacency`
-with ``kernels="python"``) walks every member node's CSR row in Python and
-increments a dict per neighbouring supernode. :func:`build_w_table` does
-the same work for *many* groups at once, in three array passes:
+:func:`build_w_table` builds the ``W`` rows of *many* groups at once, in
+three array passes:
 
 1. gather all member rows out of the CSR in one shot (repeat/arange
    slicing — no per-node ``tolist`` round-trips),
@@ -11,15 +9,14 @@ the same work for *many* groups at once, in three array passes:
 3. aggregate ``(row supernode, neighbour supernode)`` keys with one
    ``np.unique`` (equivalent to a ``bincount`` over factorized keys).
 
-Serial LDME builds one table per iteration over every
-mergeable group; each group then materializes its rows as dicts with
+Serial LDME builds one table per iteration over every mergeable group;
+each group then materializes its rows as dicts with
 :meth:`WTable.group_w` when its merge loop starts. Callers without a
-table (the SuperJaccard policy, RANDOMIZED, ``saving_of_pair``) build a
-one-group table, so there is a single numpy
-``W`` path. The dict rows are **equal** to the reference (the internal
-self-entry is halved and re-inserted exactly like the reference does), so
-the post-merge fold update (:meth:`GroupAdjacency.apply_merge`) is shared
-unchanged between backends.
+table (the SuperJaccard policy, SWeG, RANDOMIZED, ``saving_of_pair``)
+build a one-group table, so every ``W`` comes from this one path. The
+dict rows equal the per-node dict loop in ``tests/oracles/kernels.py``
+(the internal self-entry is halved exactly like it is there), which the
+post-merge fold update (:meth:`GroupAdjacency.apply_merge`) relies on.
 """
 
 from __future__ import annotations

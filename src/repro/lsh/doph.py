@@ -20,9 +20,17 @@ from typing import Union
 
 import numpy as np
 
+from ..obs import profile
 from .permutation import random_permutation
 
-__all__ = ["EMPTY", "DOPHHasher", "doph_signature"]
+__all__ = [
+    "EMPTY",
+    "DOPHHasher",
+    "doph_signature",
+    "doph_signatures_bulk",
+    "doph_scatter_min",
+    "doph_densify",
+]
 
 SeedLike = Union[int, np.random.Generator, None]
 
@@ -128,17 +136,23 @@ def doph_signature(
 
 
 def _optimal_probe(i: int, attempt: int, seed_base: int, k: int) -> int:
-    """Probe target for empty bin ``i`` at the given attempt number.
-
-    Shared with the vectorized kernel
-    (:func:`repro.kernels.doph.doph_signatures_bulk_numpy`) so both paths
-    walk bit-identical probe sequences.
-    """
+    """Probe target for empty bin ``i`` at the given attempt number."""
     if attempt < k:
         return (1_000_003 * (i + 1) + 69_069 * attempt + seed_base) % k
     return (1_000_003 * (i + 1) + seed_base + attempt) % k
 
 
+#: Sentinel for never-written scatter slots (wins no minimum).
+SCATTER_EMPTY = np.iinfo(np.int64).max
+
+#: Entries per scatter chunk when ``chunk_rows`` is 0 (auto). Sized so the
+#: chunk's gather/index temporaries (~3 arrays × 4 bytes) stay within a
+#: typical L2 cache, which is where the old one-shot 2-D ``minimum.at``
+#: lost its 1e6-scale throughput.
+_AUTO_CHUNK_ROWS = 1 << 18
+
+
+@profile.profiled("doph_bulk")
 def doph_signatures_bulk(
     row_ids: np.ndarray,
     item_ids: np.ndarray,
@@ -146,40 +160,123 @@ def doph_signatures_bulk(
     perm: np.ndarray,
     k: int,
     directions: np.ndarray,
-    densification: str = "rotation",
-    backend: str = "numpy",
 ) -> np.ndarray:
     """DOPH signatures for many binary vectors at once.
 
     ``(row_ids[i], item_ids[i])`` pairs list the 1-bits of ``num_rows``
     binary vectors (duplicates are harmless — the signature is a minimum).
     Returns an ``(num_rows, k)`` int64 matrix whose rows equal
-    :func:`doph_signature` of the corresponding vector; all-zero rows are
-    all ``EMPTY``.
+    :func:`doph_signature` of the corresponding vector under rotation
+    densification; all-zero rows are all ``EMPTY``.
 
-    ``backend="numpy"`` (the production path of LDME's divide step) runs
-    a chunked cache-blocked ``minimum.at`` scatter plus vectorized
-    densification with no per-supernode Python work; ``backend="python"``
-    loops the scalar signature per row and is kept as the
-    differential-testing reference. Both live in :mod:`repro.kernels.doph`
-    and are bit-identical.
+    This is the production path of LDME's divide step, with no
+    per-supernode Python work: a chunked cache-blocked ``minimum.at``
+    scatter (:func:`doph_scatter_min`) fills every (row, bin) minimum,
+    then :func:`doph_densify` fills the empty bins of every row at once.
     """
-    from ..kernels.doph import (
-        doph_signatures_bulk_numpy,
-        doph_signatures_bulk_python,
-    )
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if directions.shape != (k,):
+        raise ValueError("directions must have length k")
+    row_ids = np.asarray(row_ids, dtype=np.int64)
+    item_ids = np.asarray(item_ids, dtype=np.int64)
+    if row_ids.shape != item_ids.shape:
+        raise ValueError("row_ids and item_ids must have equal length")
+    flat = doph_scatter_min(row_ids, item_ids, num_rows, perm, k)
+    return doph_densify(flat, num_rows, k, directions)
 
-    if backend == "numpy":
-        return doph_signatures_bulk_numpy(
-            row_ids, item_ids, num_rows, perm, k, directions,
-            densification=densification,
-        )
-    if backend == "python":
-        return doph_signatures_bulk_python(
-            row_ids, item_ids, num_rows, perm, k, directions,
-            densification=densification,
-        )
-    raise ValueError("backend must be 'python' or 'numpy'")
+
+def doph_scatter_min(
+    row_ids: np.ndarray,
+    item_ids: np.ndarray,
+    num_rows: int,
+    perm: np.ndarray,
+    k: int,
+    chunk_rows: int = 0,
+) -> np.ndarray:
+    """Chunked cache-blocked bin-minimum scatter.
+
+    Returns a flat ``(num_rows * k,)`` int64 array whose slot
+    ``r * k + b`` holds the minimum offset seen in bin ``b`` of row ``r``,
+    or :data:`SCATTER_EMPTY` when the bin never received an entry.
+    Processing ``chunk_rows`` entries at a time (0 = :data:`_AUTO_CHUNK_ROWS`)
+    keeps the gathered index/offset temporaries cache-resident, and the
+    flat 1-D ``minimum.at`` takes numpy's fast indexed-loop path (the 2-D
+    fancy-index form does not); together these are what recover the
+    large-graph throughput the benchmark ladder tracks. Every chunking
+    yields the same array.
+    """
+    n = perm.shape[0]
+    bin_size = -(-n // k)  # ceil(n / k), matching the scalar kernel
+    total = num_rows * k
+    if item_ids.size == 0:
+        return np.full(total, SCATTER_EMPTY, dtype=np.int64)
+    if chunk_rows <= 0:
+        chunk_rows = _AUTO_CHUNK_ROWS
+    # int32 intermediates halve scatter bandwidth whenever the values fit;
+    # integer minima are exact in either width so the result is identical.
+    narrow = total < 2**31 and bin_size < 2**31
+    value_dt = np.int32 if narrow else np.int64
+    index_dt = np.int32 if total < 2**31 else np.int64
+    value_sentinel = np.iinfo(value_dt).max
+    # Per-item lookup tables: bin and offset of every universe element.
+    item_bins = (perm // bin_size).astype(value_dt)
+    item_offsets = (perm % bin_size).astype(value_dt)
+    flat = np.full(total, value_sentinel, dtype=value_dt)
+    for lo in range(0, item_ids.size, chunk_rows):
+        hi = min(lo + chunk_rows, item_ids.size)
+        chunk_items = item_ids[lo:hi]
+        slots = (row_ids[lo:hi] * k).astype(index_dt)
+        slots += item_bins[chunk_items].astype(index_dt)
+        np.minimum.at(flat, slots, item_offsets[chunk_items])
+    written = flat != value_sentinel
+    return np.where(written, flat.astype(np.int64), SCATTER_EMPTY)
+
+
+def doph_densify(
+    filled_flat: np.ndarray,
+    num_rows: int,
+    k: int,
+    directions: np.ndarray,
+) -> np.ndarray:
+    """Turn scattered bin minima into final signatures.
+
+    ``filled_flat`` is the :func:`doph_scatter_min` output (consumed —
+    treat it as scratch). Empty bins of populated rows are filled by
+    rotation densification; all-empty rows become all-``EMPTY``.
+    """
+    filled = filled_flat.reshape(num_rows, k)
+    populated = filled != SCATTER_EMPTY
+    sig = np.where(populated, filled, np.int64(EMPTY))
+    needs_fill = ~populated.all(axis=1) & populated.any(axis=1)
+    if not np.any(needs_fill):
+        return sig
+    source = _rotation_sources(populated[needs_fill], k, directions)
+    sig[needs_fill] = np.take_along_axis(sig[needs_fill], source, axis=1)
+    return sig
+
+
+def _rotation_sources(
+    sub_pop: np.ndarray, k: int, directions: np.ndarray
+) -> np.ndarray:
+    """Per-(row, bin) source column under rotation densification.
+
+    For every empty bin, the nearest populated bin in the direction chosen
+    by ``D`` with wraparound; populated bins map to themselves.
+    """
+    cols = np.arange(k, dtype=np.int64)
+    # Nearest populated column <= j (or -1), then wrap to the row's last.
+    left = np.maximum.accumulate(np.where(sub_pop, cols, -1), axis=1)
+    last_pop = (k - 1) - np.argmax(sub_pop[:, ::-1], axis=1)
+    left = np.where(left < 0, last_pop[:, None], left)
+    # Nearest populated column >= j (or k), then wrap to the row's first.
+    right_rev = np.maximum.accumulate(
+        np.where(sub_pop[:, ::-1], cols, -1), axis=1
+    )[:, ::-1]
+    right = np.where(right_rev < 0, -1, (k - 1) - right_rev)
+    first_pop = np.argmax(sub_pop, axis=1)
+    right = np.where(right < 0, first_pop[:, None], right)
+    return np.where(directions[None, :] == 1, right, left)
 
 
 class DOPHHasher:

@@ -47,8 +47,8 @@ class PhaseTimer:
     Usage::
 
         timer = PhaseTimer()
-        with timer.phase("w_build", graph="1e5", backend="numpy"):
-            GroupAdjacency(graph, partition, group, kernels="numpy")
+        with timer.phase("w_build", graph="1e5"):
+            GroupAdjacency(graph, partition, group)
         timer.records  # [{"phase": "w_build", "seconds": ..., ...}]
 
     Records are plain dicts so they serialize straight into

@@ -10,7 +10,7 @@ observations come from the event loop, the batch-executor thread, and
 loadgen workers.
 
 Metrics may carry Prometheus-style labels (``registry.inc("x", labels=
-{"backend": "numpy"})``). :meth:`MetricsRegistry.to_prometheus` renders
+{"op": "bfs"})``). :meth:`MetricsRegistry.to_prometheus` renders
 the whole registry in the Prometheus text exposition format — served by
 the query server's ``metrics`` op and its optional HTTP scrape endpoint
 (``ServerConfig.metrics_port``) and verified against a minimal parser in

@@ -16,9 +16,8 @@ Modules
 * :mod:`~repro.shard.partitioner` — splits a CSR graph into per-shard
   induced subgraphs (intra-shard edges stay local) and routes every cut
   edge to a deterministic owner shard.
-* :mod:`~repro.shard.driver` — runs LDME per shard, honouring the
-  ``kernels=`` backend knob, checkpointing via :func:`repro.resilience.run_resumable`, and
-  :mod:`repro.obs` spans.
+* :mod:`~repro.shard.driver` — runs LDME per shard, checkpointing via
+  :func:`repro.resilience.run_resumable`, and :mod:`repro.obs` spans.
 * :mod:`~repro.shard.stitch` — merges per-shard summaries into a global
   :class:`~repro.core.summary.Summarization` (cross-shard superedges
   with corrections, encoded by the paper's own cost rule) and derives

@@ -4,8 +4,7 @@
 ``shard-summarize`` CLI command. It reuses the existing single-graph
 machinery unchanged per shard:
 
-* the plain :class:`~repro.core.ldme.LDME` driver, honouring the
-  ``kernels=`` backend knob;
+* the plain :class:`~repro.core.ldme.LDME` driver;
 * :func:`repro.resilience.run_resumable` checkpointing when a
   ``checkpoint_dir`` is given — each shard checkpoints into its own
   subdirectory, so a crash resumes mid-shard, not from shard 0;
@@ -57,13 +56,9 @@ def _default_factory(
     k: int,
     iterations: int,
     seed: int,
-    kernels: str,
 ) -> AlgoFactory:
     def make(shard_id: int) -> BaseSummarizer:
-        return LDME(
-            k=k, iterations=iterations,
-            seed=seed + shard_id, kernels=kernels,
-        )
+        return LDME(k=k, iterations=iterations, seed=seed + shard_id)
 
     return make
 
@@ -75,7 +70,6 @@ def summarize_sharded(
     k: int = 5,
     iterations: int = 20,
     seed: int = 0,
-    kernels: str = "numpy",
     num_workers: int = 1,
     virtual_nodes: int = 64,
     algo_factory: Optional[AlgoFactory] = None,
@@ -114,7 +108,7 @@ def summarize_sharded(
     ring = shards if isinstance(shards, HashRing) else HashRing(
         shards, virtual_nodes=virtual_nodes, seed=seed
     )
-    factory = algo_factory or _default_factory(k, iterations, seed, kernels)
+    factory = algo_factory or _default_factory(k, iterations, seed)
 
     with obs_trace.span(
         "shard_run", key=ring.num_shards,

@@ -440,7 +440,6 @@ class MigrationCoordinator:
         k: int = 5,
         iterations: int = 20,
         seed: int = 0,
-        kernels: str = "numpy",
         algo_factory: Optional[AlgoFactory] = None,
         validate: bool = True,
         on_step: Optional[Callable[[str], None]] = None,
@@ -454,7 +453,7 @@ class MigrationCoordinator:
         self.on_step = on_step
         self.catch_up_rounds = catch_up_rounds
         self.algo_factory = algo_factory or _default_factory(
-            k, iterations, seed, kernels
+            k, iterations, seed
         )
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.current_step: str = ""   # live view for loadgen phase bucketing

@@ -1,39 +1,40 @@
-"""Differential tests: numpy kernels vs the pure-Python reference.
+"""Differential tests: the hot-path kernels vs their plain-Python oracles.
 
 Property-based (Hypothesis) random graphs, partitions and seeds assert the
-vectorized kernels in :mod:`repro.kernels` are **bit-identical** to the
-reference implementations they replace:
+kernels are **bit-identical** to the references in
+:mod:`tests.oracles.kernels`:
 
 * ``W`` tables (:func:`repro.kernels.wtable.build_w_table`, one group or
-  an iteration-wide table with re-keyed rows, vs the ``GroupAdjacency``
-  dict loop),
-* DOPH signature matrices (bulk numpy vs bulk python vs per-row scalar),
-* ``EncodeResult`` — superedges, C+ and C− as *ordered* lists,
-* end-to-end LDME summaries under both backends.
+  an iteration-wide table with re-keyed rows, vs the per-node dict loop),
+  and the merge decisions of a ``GroupAdjacency`` that reads the oracle's
+  dict ``W``,
+* DOPH signature matrices (bulk kernel vs per-row scalar),
+* ``EncodeResult`` — superedges, C+ and C− as *ordered* lists, through
+  both :func:`~repro.core.encode.encode_sorted` and
+  :func:`~repro.kernels.encode.encode_edge_arrays`,
+* end-to-end LDME summaries, spans and counters with every oracle
+  swapped in (:func:`tests.oracles.kernels.oracle_kernels`).
 
-These tests are the safety net that lets the numpy backend be the default:
-any divergence — including iteration-order or tie-breaking drift — fails
+Any divergence — including iteration-order or tie-breaking drift — fails
 here before it can silently change summary outputs.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.divide import lsh_divide
 from repro.core.encode import encode_sorted
 from repro.core.ldme import LDME
 from repro.core.merge import merge_group_exact
+from repro.core.pairs import edge_list
 from repro.core.partition import SupernodePartition
 from repro.core.saving import GroupAdjacency
 from repro.graph.graph import Graph
-from repro.kernels import build_w_table
-from repro.kernels.doph import (
-    doph_signatures_bulk_numpy,
-    doph_signatures_bulk_python,
-)
-from repro.kernels.encode import encode_sorted_numpy
+from repro.kernels import build_w_table, encode_edge_arrays
+from repro.lsh.doph import doph_signatures_bulk
 from repro.lsh.permutation import random_permutation
+
+from ..oracles import kernels as oracle
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -68,6 +69,68 @@ def random_partition(graph: Graph, seed: int) -> SupernodePartition:
     return partition
 
 
+def oracle_adjacency(graph, partition, group):
+    """A ``GroupAdjacency`` whose ``W`` is the oracle's dict."""
+    adjacency = GroupAdjacency(graph, partition, group)
+    adjacency.w = oracle.group_w(graph, partition, group)
+    return adjacency
+
+
+#: Encode shapes: runs the decision rule treats differently.
+ENCODE_SHAPES = ("superloops", "complete", "bipartite", "isolated",
+                 "empty", "random")
+
+
+@st.composite
+def encode_cases(draw):
+    """``(graph, partition)`` of one :data:`ENCODE_SHAPES` shape.
+
+    Supernodes are built by merging nodes in a random order, so member
+    lists are not sorted and the C− order really follows them.
+    """
+    shape = draw(st.sampled_from(ENCODE_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    if shape == "empty":
+        n = draw(st.integers(min_value=0, max_value=6))
+        return Graph.from_edges(n, []), SupernodePartition(n)
+    if shape == "random":
+        graph = draw(graphs())
+        return graph, random_partition(graph, int(rng.integers(2**31)))
+    if shape == "superloops":
+        sizes = rng.choice([2, 3], size=int(rng.integers(1, 6)))
+    elif shape == "bipartite":
+        sizes = rng.integers(2, 9, size=2)
+    else:
+        sizes = rng.integers(1, 5, size=int(rng.integers(1, 5)))
+    spare = int(rng.integers(0, 4)) if shape == "isolated" else 0
+    n = int(sizes.sum()) + spare
+    nodes = rng.permutation(n)
+    blocks = np.split(nodes[: int(sizes.sum())], np.cumsum(sizes)[:-1])
+    partition = SupernodePartition(n)
+    for block in blocks:
+        sid = int(block[0])
+        for v in block[1:].tolist():
+            sid, _ = partition.merge(sid, v)
+    src, dst = [], []
+    for x, a in enumerate(blocks):
+        for b in blocks[x:]:
+            uu, vv = np.meshgrid(a, b, indexing="ij")
+            keep = uu.ravel() != vv.ravel()
+            pairs = np.column_stack([uu.ravel()[keep], vv.ravel()[keep]])
+            if shape == "complete":
+                density = 1.0
+            elif shape == "bipartite":
+                # Just over half the block: a superedge with many C−.
+                density = 0.55 if b is not a else 0.0
+            else:
+                density = rng.random()
+            chosen = pairs[rng.random(len(pairs)) < density]
+            src.extend(chosen[:, 0].tolist())
+            dst.extend(chosen[:, 1].tolist())
+    return Graph.from_edge_arrays(n, np.array(src, dtype=np.int64),
+                                  np.array(dst, dtype=np.int64)), partition
+
+
 # ---------------------------------------------------------------------------
 # W construction
 # ---------------------------------------------------------------------------
@@ -83,18 +146,17 @@ class TestWTableDifferential:
         take = int(rng.integers(1, len(ids) + 1))
         group = [ids[int(i)] for i in
                  rng.choice(len(ids), size=take, replace=False)]
-        reference = GroupAdjacency(graph, partition, group, kernels="python")
-        kernel = GroupAdjacency(graph, partition, group, kernels="numpy")
-        assert reference.w == kernel.w
+        reference = oracle.group_w(graph, partition, group)
+        assert GroupAdjacency(graph, partition, group).w == reference
         one_group = build_w_table(graph, partition, [group])
-        assert one_group.group_w(partition, group) == reference.w
+        assert one_group.group_w(partition, group) == reference
 
     @given(graphs(), st.integers(min_value=0, max_value=2**31 - 1),
            st.integers(min_value=2, max_value=5))
     @settings(max_examples=60, deadline=None)
     def test_rekeyed_rows_match_fresh_build(self, graph, seed, num_groups):
         """A later group's rows, sliced after earlier groups merged, equal
-        a fresh reference build at that point."""
+        a fresh oracle build at that point."""
         partition = random_partition(graph, seed)
         rng = np.random.default_rng(seed)
         ids = list(partition.supernode_ids())
@@ -103,11 +165,8 @@ class TestWTableDifferential:
         groups = [g.tolist() for g in np.split(np.array(ids), cuts)]
         table = build_w_table(graph, partition, groups)
         for group in groups:
-            adjacency = GroupAdjacency(
-                graph, partition, group, kernels="numpy", table=table
-            )
-            fresh = GroupAdjacency(graph, partition, group, kernels="python")
-            assert adjacency.w == fresh.w
+            adjacency = GroupAdjacency(graph, partition, group, table=table)
+            assert adjacency.w == oracle.group_w(graph, partition, group)
             alive = list(group)
             for _ in range(int(rng.integers(0, len(alive) + 1))):
                 if len(alive) < 2:
@@ -122,12 +181,12 @@ class TestWTableDifferential:
     @given(graphs(), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_w_stays_identical_through_merges(self, graph, seed):
-        """apply_merge (shared fold update) keeps both backends in lockstep."""
+        """apply_merge keeps the kernel's and the oracle's W in lockstep."""
         partition_a = random_partition(graph, seed)
         partition_b = partition_a.copy()
         group = list(partition_a.supernode_ids())
-        ref = GroupAdjacency(graph, partition_a, group, kernels="python")
-        ker = GroupAdjacency(graph, partition_b, group, kernels="numpy")
+        ref = oracle_adjacency(graph, partition_a, group)
+        ker = GroupAdjacency(graph, partition_b, group)
         rng = np.random.default_rng(seed + 1)
         for _ in range(min(4, len(group) - 1)):
             ids = list(ref.w)
@@ -149,13 +208,14 @@ class TestWTableDifferential:
         group = list(partition_a.supernode_ids())
         if len(group) < 2:
             return
-        stats_a = merge_group_exact(
-            graph, partition_a, list(group), 0.2,
-            seed=np.random.default_rng(seed), kernels="python",
-        )
+        with oracle.oracle_kernels():
+            stats_a = merge_group_exact(
+                graph, partition_a, list(group), 0.2,
+                seed=np.random.default_rng(seed),
+            )
         stats_b = merge_group_exact(
             graph, partition_b, list(group), 0.2,
-            seed=np.random.default_rng(seed), kernels="numpy",
+            seed=np.random.default_rng(seed),
         )
         assert stats_a.merges == stats_b.merges
         assert stats_a.candidates_scored == stats_b.candidates_scored
@@ -173,23 +233,20 @@ class TestDophDifferential:
         st.integers(min_value=1, max_value=8),    # k
         st.integers(min_value=0, max_value=6),    # rows
         st.integers(min_value=0, max_value=2**31 - 1),
-        st.sampled_from(["rotation", "optimal"]),
     )
     @settings(max_examples=120, deadline=None)
-    def test_bulk_backends_identical(self, n, k, rows, seed, densification):
+    def test_bulk_backends_identical(self, n, k, rows, seed):
         rng = np.random.default_rng(seed)
         perm = random_permutation(n, rng)
         directions = rng.integers(0, 2, size=k).astype(np.int64)
         num_items = int(rng.integers(0, 4 * rows)) if rows else 0
         row_ids = rng.integers(0, max(1, rows), size=num_items)
         item_ids = rng.integers(0, n, size=num_items)
-        ref = doph_signatures_bulk_python(
-            row_ids, item_ids, rows, perm, k, directions,
-            densification=densification,
+        ref = oracle.doph_signatures_bulk(
+            row_ids, item_ids, rows, perm, k, directions
         )
-        ker = doph_signatures_bulk_numpy(
-            row_ids, item_ids, rows, perm, k, directions,
-            densification=densification,
+        ker = doph_signatures_bulk(
+            row_ids, item_ids, rows, perm, k, directions
         )
         assert np.array_equal(ref, ker)
 
@@ -198,8 +255,9 @@ class TestDophDifferential:
     @settings(max_examples=40, deadline=None)
     def test_divide_groups_identical(self, graph, k, seed):
         partition = random_partition(graph, seed)
-        ga, sa = lsh_divide(graph, partition, k, seed=seed, kernels="numpy")
-        gb, sb = lsh_divide(graph, partition, k, seed=seed, kernels="python")
+        ga, sa = lsh_divide(graph, partition, k, seed=seed)
+        with oracle.oracle_kernels():
+            gb, sb = lsh_divide(graph, partition, k, seed=seed)
         assert ga == gb
         assert sa == sb
 
@@ -209,16 +267,30 @@ class TestDophDifferential:
 # ---------------------------------------------------------------------------
 
 
+def _assert_encode_matches_oracle(graph, partition):
+    reference = oracle.encode_sorted(graph, partition)
+    expected = (reference.superedges, reference.corrections.additions,
+                reference.corrections.deletions)
+    result = encode_sorted(graph, partition)
+    assert (result.superedges, result.corrections.additions,
+            result.corrections.deletions) == expected
+    src, dst = graph.edge_arrays()
+    arrays = encode_edge_arrays(src, dst, graph.num_nodes, partition)
+    assert tuple(edge_list(pairs) for pairs in arrays) == expected
+
+
 class TestEncodeDifferential:
     @given(graphs(), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_encode_result_identical(self, graph, seed):
-        partition = random_partition(graph, seed)
-        reference = encode_sorted(graph, partition, backend="python")
-        kernel = encode_sorted_numpy(graph, partition)
-        assert reference.superedges == kernel.superedges
-        assert reference.corrections.additions == kernel.corrections.additions
-        assert reference.corrections.deletions == kernel.corrections.deletions
+        _assert_encode_matches_oracle(graph, random_partition(graph, seed))
+
+    @given(encode_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_encode_shapes_identical(self, case):
+        """Superloops of 2 and 3, complete blocks, C−-heavy bipartite
+        runs, isolated nodes and the empty graph: same lists, same order."""
+        _assert_encode_matches_oracle(*case)
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +304,14 @@ class TestEndToEndDifferential:
            st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_summaries_identical_across_backends(self, graph, k, seed):
-        ref = LDME(k=k, iterations=4, seed=seed,
-                   kernels="python").summarize(graph)
-        ker = LDME(k=k, iterations=4, seed=seed,
-                   kernels="numpy").summarize(graph)
+        with oracle.oracle_kernels():
+            ref = LDME(k=k, iterations=4, seed=seed).summarize(graph)
+        ker = LDME(k=k, iterations=4, seed=seed).summarize(graph)
         assert ref.objective == ker.objective
         assert ref.superedges == ker.superedges
         assert ref.corrections.additions == ker.corrections.additions
         assert ref.corrections.deletions == ker.corrections.deletions
         assert ref.partition.members_map() == ker.partition.members_map()
-
-    def test_invalid_backend_rejected(self):
-        graph = Graph.from_edges(3, [(0, 1)])
-        with pytest.raises(ValueError, match="kernels"):
-            LDME(kernels="cython")
-        with pytest.raises(ValueError, match="kernels"):
-            GroupAdjacency(graph, SupernodePartition(3), [0], kernels="jax")
-        with pytest.raises(ValueError, match="backend"):
-            encode_sorted(graph, SupernodePartition(3), backend="jax")
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +320,11 @@ class TestEndToEndDifferential:
 
 
 class TestObservabilityDifferential:
-    """The two backends must be *observably* identical, not just in their
-    outputs: same span tree (same span ids — the run span key is
-    deliberately backend-free) and the same pipeline counter values.
-    Instrumentation drift between backends would poison the golden-trace
-    oracle, so it is checked with the same Hypothesis inputs as the
-    output differential above."""
+    """A run on the oracles must be *observably* identical to a production
+    run, not just in its output: same span tree (same span ids) with the
+    same attributes, and the same pipeline counter values. Drift here
+    would poison the golden-trace oracle, so it is checked with the same
+    Hypothesis inputs as the output differential above."""
 
     @staticmethod
     def _run_observed(graph, k, seed, kernels):
@@ -274,9 +335,9 @@ class TestObservabilityDifferential:
 
         tracer = Tracer(seed=seed)
         registry = MetricsRegistry()
-        with obs_trace.use(tracer), obs_metrics.use(registry):
-            LDME(k=k, iterations=3, seed=seed,
-                 kernels=kernels).summarize(graph)
+        with oracle.KERNELS[kernels](), obs_trace.use(tracer), \
+                obs_metrics.use(registry):
+            LDME(k=k, iterations=3, seed=seed).summarize(graph)
         return tracer, registry
 
     COUNTERS = (
@@ -318,17 +379,17 @@ class TestObservabilityDifferential:
            st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_span_attributes_differ_only_in_backend(self, graph, k, seed):
+        """No span names a backend any more, so nothing may differ."""
         ref_trace, _ = self._run_observed(graph, k, seed, "python")
         ker_trace, _ = self._run_observed(graph, k, seed, "numpy")
 
-        def normalized(tracer):
-            spans = {}
-            for s in tracer.spans:
-                attrs = {
-                    key: value for key, value in s.attributes.items()
-                    if key not in ("backend", "kernels")
-                }
-                spans[s.span_id] = (s.name, s.key, attrs)
-            return spans
+        def attributes(tracer):
+            return {
+                s.span_id: (s.name, s.key, dict(s.attributes))
+                for s in tracer.spans
+            }
 
-        assert normalized(ref_trace) == normalized(ker_trace)
+        spans = attributes(ker_trace)
+        assert attributes(ref_trace) == spans
+        for _, _, attrs in spans.values():
+            assert "backend" not in attrs and "kernels" not in attrs

@@ -1,9 +1,11 @@
-"""Golden end-to-end fixtures guarding determinism across the kernels knob.
+"""Golden end-to-end fixtures guarding the determinism of the kernels.
 
 Summary shapes for fixed seeds on the bundled Table 1 surrogates, pinned
-once and asserted under **both** kernel backends. A change to any
-hot-path kernel that shifts a single merge decision, superedge or
-correction edge fails here.
+once. Each pin is asserted on the production kernels (``numpy``) and on
+the plain-Python oracles swapped in (``python``, see
+``tests/oracles/kernels.py``), so a change to any hot-path kernel that
+shifts a single merge decision, superedge or correction edge fails here,
+and so does an oracle that drifted from the pins.
 """
 
 import numpy as np
@@ -11,10 +13,9 @@ import pytest
 
 from repro.core.ldme import LDME
 from repro.core.reconstruct import verify_lossless
-from repro.graph import datasets
 from repro.queries.compiled import CompiledSummaryIndex
 
-BACKENDS = ("python", "numpy")
+from ..oracles.kernels import KERNELS
 
 #: (dataset, k, iterations, seed) → pinned
 #: (objective, supernodes, superedges, additions, deletions)
@@ -55,6 +56,12 @@ def _analytics_pin(summary):
     )
 
 
+def _summarize(graph, case, kernels):
+    name, k, iterations, seed = case
+    with KERNELS[kernels]():
+        return LDME(k=k, iterations=iterations, seed=seed).summarize(graph)
+
+
 def _shape(summary):
     return (
         summary.objective,
@@ -65,40 +72,31 @@ def _shape(summary):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernels", KERNELS)
 @pytest.mark.parametrize("case", sorted(SERIAL_GOLDEN))
-def test_serial_golden(dataset_cache, case, backend):
-    name, k, iterations, seed = case
-    graph = dataset_cache(name)
-    summary = LDME(
-        k=k, iterations=iterations, seed=seed, kernels=backend
-    ).summarize(graph)
+def test_serial_golden(dataset_cache, case, kernels):
+    graph = dataset_cache(case[0])
+    summary = _summarize(graph, case, kernels)
     assert _shape(summary) == SERIAL_GOLDEN[case]
     verify_lossless(graph, summary)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernels", KERNELS)
 @pytest.mark.parametrize("case", sorted(SERIAL_ANALYTICS_GOLDEN))
-def test_serial_analytics_golden(dataset_cache, case, backend):
+def test_serial_analytics_golden(dataset_cache, case, kernels):
     """Summary-native analytics (values *and* bounds) pinned on the
-    serial fixture summaries, identical across kernel backends."""
-    name, k, iterations, seed = case
-    graph = dataset_cache(name)
-    summary = LDME(
-        k=k, iterations=iterations, seed=seed, kernels=backend
-    ).summarize(graph)
+    serial fixture summaries, on the kernels and on the oracles."""
+    summary = _summarize(dataset_cache(case[0]), case, kernels)
     assert _analytics_pin(summary) == SERIAL_ANALYTICS_GOLDEN[case]
 
 
 @pytest.mark.parametrize("case", sorted(SERIAL_GOLDEN))
 def test_backends_bit_identical_end_to_end(dataset_cache, case):
-    """Beyond the pinned shape: the full outputs must match element-wise."""
-    name, k, iterations, seed = case
-    graph = dataset_cache(name)
-    ref = LDME(k=k, iterations=iterations, seed=seed,
-               kernels="python").summarize(graph)
-    ker = LDME(k=k, iterations=iterations, seed=seed,
-               kernels="numpy").summarize(graph)
+    """Beyond the pinned shape: the kernels' full outputs must match the
+    oracles' element-wise."""
+    graph = dataset_cache(case[0])
+    ref = _summarize(graph, case, "python")
+    ker = _summarize(graph, case, "numpy")
     assert ref.superedges == ker.superedges
     assert ref.corrections.additions == ker.corrections.additions
     assert ref.corrections.deletions == ker.corrections.deletions

@@ -3,9 +3,10 @@
 Span ids are digests of structural position and the trace id derives
 from the run seed, so a fixed-seed run has a *fully deterministic* span
 tree — names, keys, parent edges and the key attributes (never
-durations). These tests pin that tree for the serial driver under both
-kernel backends and across checkpoint resume — including a resume after
-a real SIGKILL. If instrumentation
+durations). These tests pin that tree for the serial driver, on the
+production kernels and on the plain-Python oracles swapped in
+(``tests/oracles/kernels.py``), and across checkpoint resume — including
+a resume after a real SIGKILL. If instrumentation
 drifts (a span renamed, re-parented, or silently dropped), these fail.
 """
 
@@ -23,6 +24,8 @@ from repro.obs import trace as obs_trace
 from repro.obs.trace import Tracer
 from repro.resilience import run_resumable
 
+from ..oracles.kernels import KERNELS
+
 ITERATIONS = 3
 SEED = 3
 
@@ -31,17 +34,17 @@ def small_graph():
     return web_host_graph(num_hosts=4, host_size=8, seed=1)
 
 
-def make_algo(kernels="numpy", **kwargs):
+def make_algo(**kwargs):
     kwargs.setdefault("k", 4)
     kwargs.setdefault("iterations", ITERATIONS)
     kwargs.setdefault("seed", SEED)
-    return LDME(kernels=kernels, **kwargs)
+    return LDME(**kwargs)
 
 
-def traced_run(algo, graph, **run_kwargs):
+def traced_run(algo, graph, kernels="numpy", **run_kwargs):
     """Run ``algo`` under a fresh tracer; returns the tracer."""
     tracer = Tracer(seed=algo.seed)
-    with obs_trace.use(tracer):
+    with KERNELS[kernels](), obs_trace.use(tracer):
         algo.summarize(graph, **run_kwargs)
     return tracer
 
@@ -83,27 +86,27 @@ GOLDEN_SERIAL_SHAPE = (
 
 
 class TestGoldenSerial:
-    @pytest.mark.parametrize("kernels", ["python", "numpy"])
+    @pytest.mark.parametrize("kernels", KERNELS)
     def test_span_tree_matches_golden(self, kernels):
-        tracer = traced_run(make_algo(kernels=kernels), small_graph())
+        tracer = traced_run(make_algo(), small_graph(), kernels)
         assert shape(tracer.tree()) == GOLDEN_SERIAL_SHAPE
 
-    @pytest.mark.parametrize("kernels", ["python", "numpy"])
+    @pytest.mark.parametrize("kernels", KERNELS)
     def test_rerun_is_identical(self, kernels):
         graph = small_graph()
-        a = traced_run(make_algo(kernels=kernels), graph)
-        b = traced_run(make_algo(kernels=kernels), graph)
+        a = traced_run(make_algo(), graph, kernels)
+        b = traced_run(make_algo(), graph, kernels)
         assert a.tree() == b.tree()
         assert id_set(a) == id_set(b)
 
     def test_backends_share_span_ids(self):
-        # The run key is (name, seed) — deliberately backend-free — so
-        # the two backends produce the *same* span ids; only the
-        # backend-identifying attributes differ.
+        # The run key is (name, seed), so a run on the oracles produces
+        # the *same* span ids, with the same attributes.
         graph = small_graph()
-        py = traced_run(make_algo(kernels="python"), graph)
-        np_ = traced_run(make_algo(kernels="numpy"), graph)
+        py = traced_run(make_algo(), graph, "python")
+        np_ = traced_run(make_algo(), graph, "numpy")
         assert id_set(py) == id_set(np_)
+        assert py.tree() == np_.tree()
 
     def test_run_attributes_pinned(self):
         graph = small_graph()
@@ -111,7 +114,7 @@ class TestGoldenSerial:
         (run,) = tracer.find("run")
         assert run.attributes["algorithm"] == "LDME4"
         assert run.attributes["seed"] == SEED
-        assert run.attributes["kernels"] == "numpy"
+        assert "kernels" not in run.attributes
         assert run.attributes["iterations"] == ITERATIONS
         assert run.attributes["num_nodes"] == graph.num_nodes
         assert run.attributes["num_edges"] == graph.num_edges
@@ -122,13 +125,13 @@ class TestGoldenSerial:
     def test_phase_attributes_pinned(self):
         tracer = traced_run(make_algo(), small_graph())
         for divide in tracer.find("divide"):
-            assert divide.attributes["backend"] == "numpy"
+            assert "backend" not in divide.attributes
             assert divide.attributes["num_groups"] >= 0
             assert divide.attributes["num_mergeable"] >= 0
         signatures = tracer.find("signatures")
         assert len(signatures) == ITERATIONS
         for sig in signatures:
-            assert sig.attributes["backend"] == "numpy"
+            assert "backend" not in sig.attributes
             assert sig.attributes["rows"] > 0
             assert sig.attributes["nnz"] > 0
         for merge in tracer.find("merge"):

@@ -28,7 +28,7 @@ class TestUnification:
         registry = MetricsRegistry()
         timer = PhaseTimer()
         with obs_metrics.use(registry):
-            with timer.phase("w_build", backend="numpy"):
+            with timer.phase("w_build", graph="1e5"):
                 pass
             timer.add("encode", 0.25)
         hist = registry.histogram(
@@ -137,11 +137,11 @@ class TestRegistry:
 
     def test_labels_are_independent_series(self):
         registry = MetricsRegistry()
-        registry.inc("m", labels={"backend": "numpy"})
-        registry.inc("m", 5, labels={"backend": "python"})
+        registry.inc("m", labels={"op": "bfs"})
+        registry.inc("m", 5, labels={"op": "degree"})
         registry.inc("m")
-        assert registry.counter("m", labels={"backend": "numpy"}) == 1
-        assert registry.counter("m", labels={"backend": "python"}) == 5
+        assert registry.counter("m", labels={"op": "bfs"}) == 1
+        assert registry.counter("m", labels={"op": "degree"}) == 5
         assert registry.counter("m") == 1
 
     def test_label_order_does_not_matter(self):
@@ -187,3 +187,17 @@ class TestModuleSeam:
         assert registry.counter("x", labels={"k": "v"}) == 1
         assert registry.histogram("y").count == 1
         assert registry.gauge("z") == 9
+
+
+class TestPipelineMetrics:
+    def test_phase_histograms_carry_no_labels(self):
+        from repro.core.ldme import LDME
+        from repro.graph.generators import web_host_graph
+
+        graph = web_host_graph(num_hosts=3, host_size=6, seed=1)
+        registry = MetricsRegistry()
+        with obs_metrics.use(registry):
+            LDME(k=4, iterations=2, seed=0).summarize(graph)
+        assert registry.histogram("ldme_divide_seconds").count == 2
+        assert registry.histogram("ldme_merge_seconds").count == 2
+        assert registry.histogram("ldme_encode_seconds").count == 1

@@ -129,7 +129,7 @@ class TestProfiledDecorator:
         assert documented.__doc__ == "The docstring survives."
 
     def test_production_kernels_are_instrumented(self):
-        from repro.kernels.doph import doph_signatures_bulk_numpy
+        from repro.lsh.doph import doph_signatures_bulk
         from repro.lsh.permutation import random_permutation
 
         rng = np.random.default_rng(1)
@@ -139,9 +139,7 @@ class TestProfiledDecorator:
         item_ids = np.array([1, 3, 2, 5])
         profiler = KernelProfiler()
         with profile.use(profiler):
-            doph_signatures_bulk_numpy(
-                row_ids, item_ids, 2, perm, 4, directions
-            )
+            doph_signatures_bulk(row_ids, item_ids, 2, perm, 4, directions)
         assert profiler.summary()["doph_bulk"]["calls"] == 1
 
 

@@ -280,7 +280,6 @@ class TestShardSummarize:
         assert args.shards == 4
         assert args.k == 5
         assert args.virtual_nodes == 64
-        assert args.kernels == "numpy"
 
     def test_writes_manifest(self, graph_file, tmp_path, capsys):
         from repro.shard import load_manifest
