@@ -1,9 +1,10 @@
 """Bounded-memory ingestion and long-run checkpointing.
 
-The workflow for inputs too large to handle casually: stream the edge file
-through the external-sort loader, summarize in stages with partition
-checkpoints between them, and store the result in the compact binary
-format.
+The workflow for inputs too large to handle casually: load the edge file
+with the blocked reader (it parses a fixed number of lines at a time, so
+only the parsed ids grow with the file), summarize in stages with
+partition checkpoints between them, and store the result in the compact
+binary format.
 
 Run with::
 
@@ -14,8 +15,12 @@ import os
 import tempfile
 
 from repro import LDME, verify_lossless, web_host_graph, write_summary_binary
-from repro.graph.external import read_edge_list_chunked
-from repro.graph.io import read_partition, write_edge_list, write_partition
+from repro.graph.io import (
+    load_graph,
+    read_partition,
+    write_edge_list,
+    write_partition,
+)
 
 
 def main() -> None:
@@ -27,11 +32,11 @@ def main() -> None:
         size_kb = os.path.getsize(edge_file) / 1024
         print(f"edge file: {size_kb:.0f} KB, {graph.num_edges} edges")
 
-        # Ingest with a deliberately tiny buffer: sorted runs spill to disk
-        # and are k-way merged — memory stays bounded by chunk_edges.
-        loaded = read_edge_list_chunked(edge_file, chunk_edges=2000)
+        # Text blocks are parsed with numpy and the CSR is built from one
+        # sorted key per edge; .gz files load the same way.
+        loaded = load_graph(edge_file)
         assert loaded == graph
-        print(f"chunked load OK ({graph.num_edges // 2000 + 1} spill runs)")
+        print(f"load OK ({loaded.num_nodes} nodes)")
 
         # Stage 1: a few iterations, then checkpoint the partition.
         ckpt = os.path.join(tmp, "stage1.ckpt")

@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--no-resume", action="store_true",
                        help="ignore existing checkpoints in "
                             "--checkpoint-dir and start fresh")
-    p_sum.add_argument("--chunked", action="store_true",
-                       help="bounded-memory edge-list ingestion")
 
     p_rec = sub.add_parser("reconstruct", help="rebuild a graph from a summary")
     p_rec.add_argument("summary", help="summary file written by 'summarize'")
@@ -442,12 +440,7 @@ def _sharded_client_kwargs(manifest_dir: str, addresses: List[tuple]):
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    if args.chunked:
-        from .graph.external import read_edge_list_chunked
-
-        graph = read_edge_list_chunked(args.graph)
-    else:
-        graph = load_graph(args.graph)
+    graph = load_graph(args.graph)
     if args.algorithm == "ldme":
         algo = LDME(
             k=args.k,

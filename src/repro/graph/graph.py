@@ -90,7 +90,13 @@ class Graph:
         src: np.ndarray,
         dst: np.ndarray,
     ) -> "Graph":
-        """Build a graph from parallel endpoint arrays (vectorized path)."""
+        """Build a graph from parallel endpoint arrays (vectorized path).
+
+        Each edge packs into one int64 key: the canonical ``lo·n + hi``
+        is sorted in place and deduplicated, then both directions'
+        ``head·n + tail`` keys are sorted once, which is row-major CSR
+        order. ``indptr`` is where each row's keys start.
+        """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
@@ -98,22 +104,26 @@ class Graph:
         if src.size and (min(src.min(), dst.min()) < 0
                          or max(src.max(), dst.max()) >= num_nodes):
             raise ValueError("edge endpoints out of range")
-        keep = src != dst  # drop self loops
-        src, dst = src[keep], dst[keep]
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        if lo.size:
-            # De-duplicate on the canonical (lo, hi) key.
-            key = lo * np.int64(num_nodes) + hi
-            _, first = np.unique(key, return_index=True)
-            lo, hi = lo[first], hi[first]
-        heads = np.concatenate([lo, hi])
-        tails = np.concatenate([hi, lo])
-        counts = np.bincount(heads, minlength=num_nodes)
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        order = np.lexsort((tails, heads))
-        return cls(indptr, tails[order])
+        n = np.int64(num_nodes)
+        key = np.minimum(src, dst)
+        key *= n
+        key += np.maximum(src, dst)
+        key = key[src != dst]  # drop self loops
+        key.sort()
+        fresh = np.empty(key.size, dtype=bool)
+        fresh[:1] = True
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        key = key[fresh]
+        directed = np.empty(2 * key.size, dtype=np.int64)
+        directed[:key.size] = key
+        reverse = directed[key.size:]
+        np.remainder(key, n, out=reverse)
+        reverse *= n
+        reverse += key // n
+        directed.sort()
+        indptr = np.searchsorted(directed, np.arange(num_nodes + 1) * n)
+        np.remainder(directed, n, out=directed)
+        return cls(indptr, directed)
 
     # ------------------------------------------------------------------
     # basic accessors

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import gzip
 import io
+import itertools
 import os
-from typing import IO, List, Tuple, Union
+import warnings
+from typing import IO, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -66,34 +68,79 @@ def _atomic_text(path: PathLike):
 # ----------------------------------------------------------------------
 # edge list format: one "u v" pair per line; '#' or '%' comments allowed
 # ----------------------------------------------------------------------
+#: Lines handed to one ``np.loadtxt`` call. The reader holds one block of
+#: text at a time, so this bounds its memory beyond the parsed ids.
+_BLOCK_LINES = 1 << 18
+
+
+def _parse_block(lines: List[str]) -> np.ndarray:
+    """The first two columns of ``lines`` as an ``(m, 2)`` int64 array.
+
+    Raises :class:`ValueError` on a line without two integer ids.
+    """
+    with warnings.catch_warnings():
+        # A block of only comments and blank lines is not an error.
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=np.int64, usecols=(0, 1),
+                          comments=("#", "%"), ndmin=2)
+
+
+def _clean_ids(lines: List[str]) -> Optional[np.ndarray]:
+    """``_parse_block(lines)``, or ``None`` on a bad line or negative id."""
+    try:
+        ids = _parse_block(lines)
+    except ValueError:
+        return None
+    return None if ids.size and ids.min() < 0 else ids
+
+
+def _block_error(
+    path: PathLike, lines: List[str], first_lineno: int
+) -> ValueError:
+    """The error for the first bad line of a block that failed to parse.
+
+    ``np.loadtxt`` numbers only data rows, so the bad line is found by
+    bisecting the block; everything before ``lo`` is known to be clean.
+    """
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _clean_ids(lines[lo:mid]) is not None:
+            lo = mid
+        else:
+            hi = mid
+    line = lines[lo]
+    where = f"{path}:{first_lineno + lo}"
+    try:
+        _parse_block([line])
+    except ValueError:
+        return ValueError(f"{where}: expected 'u v', got {line.strip()!r}")
+    return ValueError(f"{where}: negative node id")
+
+
 def read_edge_list(path: PathLike, num_nodes: int = None) -> Graph:
     """Read a whitespace-separated edge list file.
 
-    Node ids must be non-negative integers. Lines starting with ``#`` or
-    ``%`` and blank lines are skipped. Directed inputs are symmetrized
-    (matching the paper's preprocessing).
+    Node ids must be non-negative integers; columns after the second are
+    ignored. ``#`` and ``%`` start a comment, and blank lines are skipped.
+    Directed inputs are symmetrized (matching the paper's preprocessing).
+    The file is parsed in blocks of :data:`_BLOCK_LINES` lines.
     """
-    src: List[int] = []
-    dst: List[int] = []
-    max_node = -1
+    blocks = []
     with _open_text(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line[0] in "#%":
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            u, v = int(parts[0]), int(parts[1])
-            if u < 0 or v < 0:
-                raise ValueError(f"{path}:{lineno}: negative node id")
-            src.append(u)
-            dst.append(v)
-            max_node = max(max_node, u, v)
-    n = max_node + 1 if num_nodes is None else num_nodes
-    return Graph.from_edge_arrays(
-        n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-    )
+        for first_lineno in itertools.count(1, _BLOCK_LINES):
+            lines = list(itertools.islice(fh, _BLOCK_LINES))
+            if not lines:
+                break
+            ids = _clean_ids(lines)
+            if ids is None:
+                raise _block_error(path, lines, first_lineno)
+            blocks.append(ids)
+    pairs = np.concatenate(blocks) if blocks else np.empty((0, 2), np.int64)
+    del blocks
+    if num_nodes is None:
+        num_nodes = int(pairs.max()) + 1 if pairs.size else 0
+    return Graph.from_edge_arrays(num_nodes, pairs[:, 0], pairs[:, 1])
 
 
 def write_edge_list(graph: Graph, path: PathLike) -> None:

@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.pairs import edge_array, isin_sorted
 from ..errors import CorruptSummaryError
 from ..graph.graph import Graph
 from ..ioutil import atomic_write
@@ -799,19 +800,38 @@ class MigrationCoordinator:
 def _apply_events(
     graph: Graph, events: Sequence[Tuple[int, str, int, int]],
 ) -> Tuple[int, Graph]:
-    """Apply buffered ingest events to a graph; returns (applied, graph)."""
-    edges = {(u, v) if u < v else (v, u) for u, v in graph.edges()}
-    applied = 0
+    """Apply buffered ingest events to a graph; returns (applied, graph).
+
+    ``events`` come in seq order. An event counts as applied when it
+    changes its pair's presence; self loops, out-of-range ids and other
+    ops are skipped. Only the touched pairs are looked up in the graph.
+    """
+    n = graph.num_nodes
+    wants: Dict[Tuple[int, int], List[bool]] = {}
     for _seq, op, u, v in events:
-        if u == v or not (0 <= u < graph.num_nodes) or not (0 <= v < graph.num_nodes):
+        if u == v or not (0 <= u < n and 0 <= v < n):
             continue
-        pair = (u, v) if u < v else (v, u)
-        if op in ("+", "insert") and pair not in edges:
-            edges.add(pair)
-            applied += 1
-        elif op in ("-", "delete") and pair in edges:
-            edges.discard(pair)
-            applied += 1
+        if op in ("+", "insert", "-", "delete"):
+            pair = (u, v) if u < v else (v, u)
+            wants.setdefault(pair, []).append(op in ("+", "insert"))
+    if not wants:
+        return 0, graph
+    touched = edge_array(list(wants))
+    touched_keys = touched[:, 0] * n + touched[:, 1]
+    src, dst = graph.edge_arrays()
+    keys = src * n + dst
+    present = isin_sorted(touched_keys, keys)
+    final = np.empty(present.size, dtype=bool)
+    applied = 0
+    for i, (was, ops) in enumerate(zip(present.tolist(), wants.values())):
+        for want in ops:
+            applied += want != was
+            was = want
+        final[i] = was
     if not applied:
         return 0, graph
-    return applied, Graph.from_edges(graph.num_nodes, sorted(edges))
+    # Dropped pairs were present, so searchsorted finds them exactly;
+    # kept pairs that were present already collapse in the CSR build.
+    dropped = np.searchsorted(keys, touched_keys[present & ~final])
+    keys = np.concatenate([np.delete(keys, dropped), touched_keys[final]])
+    return applied, Graph.from_edge_arrays(n, keys // n, keys % n)

@@ -1,7 +1,10 @@
 """I/O round-trip tests: edge lists, adjacency files, summaries, gzip."""
 
+import warnings
+
 import pytest
 
+import repro.graph.io as graph_io
 from repro.core.ldme import LDME
 from repro.core.reconstruct import reconstruct
 from repro.graph.graph import Graph
@@ -15,6 +18,8 @@ from repro.graph.io import (
     write_edge_list,
     write_summary,
 )
+
+from ..oracles import graph as oracle
 
 
 class TestEdgeList:
@@ -56,6 +61,94 @@ class TestEdgeList:
         path = tmp_path / "g.txt"
         path.write_text("0 1\n")
         assert read_edge_list(path, num_nodes=10).num_nodes == 10
+
+    def test_infers_num_nodes(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n5 2\n")
+        g = read_edge_list(path)
+        assert g.num_nodes == 6
+        assert g.num_edges == 2
+
+    def test_dedup_and_symmetrize(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 0\n0 1\n2 2\n")
+        g = read_edge_list(path)
+        assert g.num_edges == 1
+        assert not g.has_edge(2, 2)
+
+    def test_comment_only_file_has_no_nodes(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("# nothing\n\n% here\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_edge_list(path).num_nodes == 0
+
+    def test_out_of_range_with_explicit_num_nodes(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 9\n")
+        with pytest.raises(ValueError, match="out of range"):
+            read_edge_list(path, num_nodes=5)
+
+    def test_web_graph_roundtrip(self, tmp_path, small_web):
+        path = tmp_path / "g.txt"
+        write_edge_list(small_web, path)
+        assert read_edge_list(path, num_nodes=small_web.num_nodes) == small_web
+
+    def test_tiny_blocks_match_one_block(self, tmp_path, small_web,
+                                         monkeypatch):
+        path = tmp_path / "g.txt"
+        write_edge_list(small_web, path)
+        whole = read_edge_list(path)
+        monkeypatch.setattr(graph_io, "_BLOCK_LINES", 7)
+        assert read_edge_list(path) == whole
+
+    def test_messy_input_matches_oracle(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 1\n1 3 # back\n0\t2 5\n\n2 0\n4 4\n% x\n1 0\n")
+        assert read_edge_list(path) == oracle.read_edge_list(path)
+
+
+BLOCKS = pytest.mark.parametrize(
+    "block_lines", [3, graph_io._BLOCK_LINES], ids=["small-blocks", "one-block"]
+)
+
+
+class TestEdgeListLineNumbers:
+    """Errors name the file line, counting comment and blank lines."""
+
+    LINES = ["# header", "", "0 1", "% note", "1 2", "2 3", "# tail", ""]
+
+    def _file(self, tmp_path, bad, at):
+        lines = list(self.LINES)
+        lines.insert(at, bad)
+        path = tmp_path / "g.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    @BLOCKS
+    def test_malformed_line_reports_file_line(self, tmp_path, monkeypatch,
+                                              block_lines):
+        monkeypatch.setattr(graph_io, "_BLOCK_LINES", block_lines)
+        path = self._file(tmp_path, "7 # 8", at=6)
+        with pytest.raises(ValueError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"{path}:7: expected 'u v', got '7 # 8'"
+
+    @BLOCKS
+    def test_negative_id_reports_file_line(self, tmp_path, monkeypatch,
+                                           block_lines):
+        monkeypatch.setattr(graph_io, "_BLOCK_LINES", block_lines)
+        path = self._file(tmp_path, "4 -1", at=7)
+        with pytest.raises(ValueError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"{path}:8: negative node id"
+
+    def test_first_bad_line_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph_io, "_BLOCK_LINES", 4)
+        path = self._file(tmp_path, "-1 0", at=5)
+        path.write_text(path.read_text() + "9\n")
+        with pytest.raises(ValueError, match=r":6: negative"):
+            read_edge_list(path)
 
 
 class TestAdjacency:

@@ -234,9 +234,11 @@ class TestCheckpointFlags:
         out = capsys.readouterr().out
         assert "compression" in out
 
-    def test_chunked_ingestion(self, graph_file, capsys):
-        path, graph = graph_file
-        assert main(["summarize", str(path), "-T", "2", "--chunked"]) == 0
+    def test_gzip_edge_list(self, tmp_path, capsys):
+        graph = web_host_graph(num_hosts=5, host_size=10, seed=1)
+        path = tmp_path / "graph.txt.gz"
+        write_edge_list(graph, path)
+        assert main(["summarize", str(path), "-T", "2"]) == 0
         out = capsys.readouterr().out
         assert str(graph.num_edges) in out.replace(",", "")
 
