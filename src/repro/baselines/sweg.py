@@ -16,7 +16,7 @@ improvements.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from ..core.divide import DivideStats, shingle_divide
 from ..core.merge import MergeStats, merge_group_superjaccard
 from ..core.partition import SupernodePartition
 from ..graph.graph import Graph
+from ..kernels.wtable import WTable
 
 __all__ = ["SWeG"]
 
@@ -93,8 +94,10 @@ class SWeG(BaseSummarizer):
         group: List[int],
         threshold: float,
         rng: np.random.Generator,
+        table: Optional[WTable] = None,
     ) -> MergeStats:
         """SuperJaccard candidate search + single Saving check."""
         return merge_group_superjaccard(
-            graph, partition, group, threshold, rng, cost_model=self.cost_model
+            graph, partition, group, threshold, rng,
+            cost_model=self.cost_model, table=table,
         )

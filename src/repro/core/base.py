@@ -18,6 +18,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..graph.graph import Graph
+from ..kernels import wtable
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .divide import DivideStats
@@ -118,8 +119,10 @@ class BaseSummarizer(ABC):
         group: List[int],
         threshold: float,
         rng: np.random.Generator,
+        table: Optional[wtable.WTable] = None,
     ) -> MergeStats:
-        """Run the merge loop on one group (mutating ``partition``)."""
+        """Run the merge loop on one group (mutating ``partition``),
+        reading its ``W`` rows from ``table`` when one is given."""
 
     def merge_context(
         self,
@@ -128,8 +131,13 @@ class BaseSummarizer(ABC):
         groups: List[List[int]],
     ) -> Dict[str, Any]:
         """Keyword arguments shared by one iteration's ``merge_one_group``
-        calls, built against the iteration-start partition (none here)."""
-        return {}
+        calls, built against the iteration-start partition: one ``W``
+        table over every mergeable group. Each group slices its rows from
+        it when its merge loop starts; the groups must be disjoint."""
+        mergeable = [group for group in groups if len(group) >= 2]
+        if not mergeable:
+            return {}
+        return {"table": wtable.build_w_table(graph, partition, mergeable)}
 
     # ------------------------------------------------------------------
     # shared driver

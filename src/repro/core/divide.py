@@ -75,6 +75,15 @@ def lsh_divide(
     stats)`` where each group is a list of supernode ids sharing a
     signature; size-one buckets are counted as singletons.
 
+    No edge-sized array is sorted. The live supernodes (those with a
+    neighbour) are numbered by a boolean mask over supernode ids, which
+    are always member node ids and so ``< n``; its ``cumsum`` gives each
+    one its signature row in ascending id order. The rows are grouped by
+    one stable ``lexsort`` over the ``k`` signature columns, with bucket
+    starts where consecutive sorted rows differ. Groups come out in the
+    order of their smallest supernode id, each in ascending id order,
+    and only buckets with at least two supernodes become Python lists.
+
     ``weights`` selects the vector the LSH sees: ``"binary"`` (the paper's
     binarized supervector) or ``"expanded"`` (the Shrivastava 2016
     weight-expansion — true ``w(A, ·)`` weights up to ``weight_cap``; see
@@ -87,9 +96,13 @@ def lsh_divide(
     rng = _rng(seed)
     n = graph.num_nodes
     directions = rng.integers(0, 2, size=k).astype(np.int64)
-    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    head_supers = partition.node2super[heads]
-    sids, rows = np.unique(head_supers, return_inverse=True)
+    degree = np.diff(graph.indptr)
+    node2super = partition.node2super
+    live = np.zeros(n, dtype=bool)
+    live[node2super[degree > 0]] = True
+    sids = np.flatnonzero(live)
+    dense = np.cumsum(live, dtype=np.int64) - 1
+    rows = np.repeat(dense[node2super], degree)
     with obs_trace.span(
         "signatures", key="sig", weights=weights
     ) as sig_span:
@@ -113,21 +126,40 @@ def lsh_divide(
             )
         sig_span.set_attribute("rows", int(sids.size))
         sig_span.set_attribute("nnz", int(graph.indices.size))
-    isolated = partition.num_supernodes - int(sids.size)
-    _, bucket_of = np.unique(signatures, axis=0, return_inverse=True)
-    buckets: Dict[int, List[int]] = {}
-    for sid, bucket in zip(sids.tolist(), bucket_of.tolist()):
-        buckets.setdefault(bucket, []).append(sid)
-    groups = [bucket for bucket in buckets.values() if len(bucket) >= 2]
-    singletons = sum(1 for bucket in buckets.values() if len(bucket) == 1)
+    groups, sizes = _signature_buckets(signatures, sids)
     stats = DivideStats(
-        num_groups=len(buckets),
+        num_groups=int(sizes.size),
         num_mergeable=len(groups),
-        max_group_size=max((len(g) for g in groups), default=0),
-        num_singletons=singletons,
-        num_isolated=isolated,
+        max_group_size=max(map(len, groups), default=0),
+        num_singletons=int(np.count_nonzero(sizes == 1)),
+        num_isolated=partition.num_supernodes - int(sids.size),
     )
     return groups, stats
+
+
+def _signature_buckets(
+    signatures: np.ndarray, sids: np.ndarray
+) -> Tuple[List[List[int]], np.ndarray]:
+    """Group ``sids`` by equal signature rows.
+
+    Returns the buckets of at least two supernodes, ordered by their
+    first row and each in row order (what a dict filled in row order
+    yields), and the size of every bucket.
+    """
+    m = int(sids.size)
+    # lexsort is stable, so each bucket's rows stay ascending.
+    order = np.lexsort(signatures.T)
+    ordered = signatures[order]
+    starts = np.ones(m, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(starts)
+    sizes = np.diff(starts, append=m)
+    mergeable = sizes >= 2
+    picked = sids[order[np.repeat(mergeable, sizes)]].tolist()
+    bounds = np.concatenate(([0], np.cumsum(sizes[mergeable]))).tolist()
+    by_first = np.argsort(order[starts[mergeable]]).tolist()
+    groups = [picked[bounds[b]:bounds[b + 1]] for b in by_first]
+    return groups, sizes
 
 
 def shingle_divide(

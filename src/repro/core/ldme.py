@@ -7,7 +7,7 @@ the paper's named settings are LDME5 (``k=5``) and LDME20 (``k=20``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -93,24 +93,6 @@ class LDME(BaseSummarizer):
             graph, partition, self.k, rng, weights=self.divide_weights
         )
 
-    def merge_context(
-        self,
-        graph: Graph,
-        partition: SupernodePartition,
-        groups: List[List[int]],
-    ) -> Dict[str, Any]:
-        """One ``W`` table over every mergeable group of the iteration.
-
-        Exact policy only; each group slices its rows from the table when
-        its merge loop starts.
-        """
-        if self.merge_policy != "exact":
-            return {}
-        mergeable = [group for group in groups if len(group) >= 2]
-        if not mergeable:
-            return {}
-        return {"table": wtable.build_w_table(graph, partition, mergeable)}
-
     def merge_one_group(
         self,
         graph: Graph,
@@ -123,9 +105,10 @@ class LDME(BaseSummarizer):
         """Merge loop over the group.
 
         The default policy computes exact Saving through the group's ``W``
-        structure (the paper's contribution #2), read from the iteration's
-        ``table`` when :meth:`merge_context` built one; ``merge_policy=
-        "superjaccard"`` swaps in SWeG's approximation for ablations.
+        structure (the paper's contribution #2); ``merge_policy=
+        "superjaccard"`` swaps in SWeG's approximation for ablations. Both
+        read the group's rows from the iteration's ``table`` when
+        :meth:`~repro.core.base.BaseSummarizer.merge_context` built one.
         """
         if self.merge_policy == "exact":
             return merge_group_exact(
@@ -134,7 +117,7 @@ class LDME(BaseSummarizer):
             )
         return merge_group_superjaccard(
             graph, partition, group, threshold, rng,
-            cost_model=self.cost_model,
+            cost_model=self.cost_model, table=table,
         )
 
 

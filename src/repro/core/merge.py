@@ -117,18 +117,23 @@ def merge_group_superjaccard(
     threshold: float,
     seed: SeedLike = None,
     cost_model: str = "exact",
+    table: Optional[wtable.WTable] = None,
 ) -> MergeStats:
     """SWeG merge loop: candidates ranked by SuperJaccard, Saving checked once.
 
     This is the baseline policy the paper attributes SWeG's merge cost to:
     every candidate comparison walks node-level supervectors (O(|N_A| +
     |N_B|)), and the selected pair still needs one Saving evaluation.
+    ``table`` is an iteration-wide ``W`` table holding this group's rows,
+    as for :func:`merge_group_exact`.
     """
     rng = _rng(seed)
     stats = MergeStats()
     if len(group) < 2:
         return stats
-    adjacency = GroupAdjacency(graph, partition, group, cost_model=cost_model)
+    adjacency = GroupAdjacency(
+        graph, partition, group, cost_model=cost_model, table=table
+    )
     vectors: Dict[int, Dict[int, int]] = {
         sid: partition.supervector(graph, sid) for sid in group
     }

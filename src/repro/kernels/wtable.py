@@ -7,16 +7,18 @@ three array passes:
    slicing — no per-node ``tolist`` round-trips),
 2. map the gathered neighbour ids to supernode ids with one fancy-index,
 3. aggregate ``(row supernode, neighbour supernode)`` keys with one
-   ``np.unique`` (equivalent to a ``bincount`` over factorized keys).
+   in-place sort: each run of equal keys is one ``W`` entry, and the
+   gaps between run starts are its edge count.
 
-Serial LDME builds one table per iteration over every mergeable group;
-each group then materializes its rows as dicts with
-:meth:`WTable.group_w` when its merge loop starts. Callers without a
-table (the SuperJaccard policy, SWeG, RANDOMIZED, ``saving_of_pair``)
-build a one-group table, so every ``W`` comes from this one path. The
-dict rows equal the per-node dict loop in ``tests/oracles/kernels.py``
-(the internal self-entry is halved exactly like it is there), which the
-post-merge fold update (:meth:`GroupAdjacency.apply_merge`) relies on.
+LDME and SWeG build one table per iteration over every mergeable group
+(:meth:`repro.core.base.BaseSummarizer.merge_context`); each group then
+materializes its rows as dicts with :meth:`WTable.group_w` when its merge
+loop starts. Callers without a table (RANDOMIZED, whose candidate groups
+overlap, and ``saving_of_pair``) build a one-group table, so every ``W``
+comes from this one path. The dict rows equal the per-node dict loop in
+``tests/oracles/kernels.py`` (the internal self-entry is halved exactly
+like it is there), which the post-merge fold update
+(:meth:`GroupAdjacency.apply_merge`) relies on.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ class WTable:
 def build_w_table(
     graph, partition, groups: Iterable[Sequence[int]]
 ) -> WTable:
-    """One CSR gather and one ``np.unique`` over every group's rows.
+    """One CSR gather and one in-place key sort over every group's rows.
 
     ``W[A][C]`` counts original edges between supernodes A and C.
     ``partition`` only needs ``members(sid)`` and ``node2super``.
@@ -148,7 +150,12 @@ def build_w_table(
     keys *= n
     keys += node2super[neighbours]
     del neighbours
-    keys, counts = np.unique(keys, return_counts=True)
-    # np.unique returns keys sorted, so rows form sorted runs.
+    keys.sort()
+    # Runs of equal keys are the entries; rows form sorted runs of them.
+    starts = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    counts = np.diff(starts, append=keys.size)
+    keys = keys[starts]
     bounds = np.searchsorted(keys // n, np.arange(len(sids) + 1))
     return WTable(sids, bounds.tolist(), keys % n, counts)

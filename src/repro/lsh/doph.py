@@ -303,5 +303,5 @@ class DOPHHasher:
         return doph_signature(nonzero_indices, self.perm, self.k, self.directions)
 
     def signature_key(self, nonzero_indices: np.ndarray) -> tuple:
-        """Hashable signature (for dict-based grouping in the divide step)."""
+        """The signature as a tuple, usable as a dict or set key."""
         return tuple(self.signature(nonzero_indices).tolist())

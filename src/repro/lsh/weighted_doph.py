@@ -112,7 +112,7 @@ class WeightedDOPHHasher:
         return doph_signature(expanded, self.perm, self.k, self.directions)
 
     def signature_key(self, weights: Dict[int, int]) -> tuple:
-        """Hashable signature for dict-based grouping."""
+        """The signature as a tuple, usable as a dict or set key."""
         return tuple(self.signature(weights).tolist())
 
 

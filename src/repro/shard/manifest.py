@@ -43,7 +43,7 @@ from ..errors import CorruptSummaryError
 from ..ioutil import atomic_write, file_crc32
 from .hashring import HashRing
 from .partitioner import ShardedGraph
-from .stitch import shard_serving_summary
+from .stitch import shard_serving_summary, summary_pairs
 
 __all__ = [
     "MANIFEST_NAME",
@@ -220,11 +220,14 @@ def save_sharded(
     write_summary_binary(stitched, global_abs)
 
     entries: List[ShardEntry] = []
+    pairs = None
     for shard in sharded.shards:
         sid = shard.shard_id
         summary = (serving or {}).get(sid)
         if summary is None:
-            summary = shard_serving_summary(stitched, sharded, sid)
+            if pairs is None:
+                pairs = summary_pairs(stitched)
+            summary = shard_serving_summary(stitched, sharded, sid, pairs)
         rel = f"shard-{sid}.ldmeb"
         path = os.path.join(directory, rel)
         size = write_summary_binary(summary, path)

@@ -186,10 +186,22 @@ def stitch_shards(
     )
 
 
+def summary_pairs(
+    summary: Summarization,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A summary's superedges, C+ and C− as ``(m, 2)`` arrays."""
+    return (
+        edge_array(summary.superedges),
+        edge_array(summary.corrections.additions),
+        edge_array(summary.corrections.deletions),
+    )
+
+
 def shard_serving_summary(
     stitched: Summarization,
     sharded: ShardedGraph,
     shard_id: int,
+    pairs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> Summarization:
     """The summary one shard's replicas serve (global node space).
 
@@ -201,7 +213,13 @@ def shard_serving_summary(
     identically to the full stitched index — pinned by
     ``tests/shard/test_stitch.py`` — which is why hash-ring routing must
     send each node's queries to its owning shard.
+
+    ``pairs`` is :func:`summary_pairs` of ``stitched``; a caller that
+    cuts every shard converts the lists once and passes it each time.
     """
+    if pairs is None:
+        pairs = summary_pairs(stitched)
+    superedges, additions, deletions = pairs
     partition = stitched.partition
     node2super = partition.node2super
     mine = sharded.assignment == shard_id
@@ -213,7 +231,6 @@ def shard_serving_summary(
     owned[node2super[mine]] = True
 
     # Superedges incident to an owned supernode; peers become ghosts.
-    superedges = edge_array(stitched.superedges)
     superedges = superedges[owned[superedges].any(axis=1)]
     kept = owned.copy()
     kept[superedges] = True
@@ -225,8 +242,6 @@ def shard_serving_summary(
     for v in np.flatnonzero(~kept[node2super]).tolist():
         members[v] = [v]
 
-    additions = edge_array(stitched.corrections.additions)
-    deletions = edge_array(stitched.corrections.deletions)
     return Summarization(
         num_nodes=stitched.num_nodes,
         num_edges=stitched.num_edges,

@@ -1,5 +1,7 @@
 """Tests for the divide step (weighted LSH and shingle)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,25 @@ class TestLSHDivide:
         a, _ = lsh_divide(small_web, part, k=5, seed=9)
         b, _ = lsh_divide(small_web, part, k=5, seed=9)
         assert sorted(map(sorted, a)) == sorted(map(sorted, b))
+
+    def test_memory_peak_per_edge(self):
+        # One divide at the singleton partition of a 300-host web graph
+        # (~2.5e5 edges, the perf ledger's web parameters). Nothing
+        # edge-sized is sorted, so the traced peak stays within 48 bytes
+        # per edge; numbering by np.unique over the CSR heads took ~115.
+        graph = web_host_graph(
+            num_hosts=300, host_size=60, links_per_template=16,
+            mutation_prob=0.05, inter_edges_per_host=8, seed=1,
+        )
+        part = SupernodePartition(graph.num_nodes)
+        tracemalloc.start()
+        try:
+            lsh_divide(graph, part, k=5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.num_edges > 200_000
+        assert peak <= 48 * graph.num_edges
 
 
 class TestShingleDivide:

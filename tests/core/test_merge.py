@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.sweg import SWeG
 from repro.core.ldme import LDME
 from repro.core.merge import (
     merge_group_exact,
@@ -132,6 +133,8 @@ class TestMergeStatsAccumulation:
 
 class TestWTableAmortization:
     def test_one_table_build_per_mergeable_iteration(self, monkeypatch):
+        # LDME under both merge policies and SWeG share the driver's
+        # per-iteration table.
         graph = web_host_graph(num_hosts=6, host_size=12, seed=3)
         builds = []
         real_build = wtable.build_w_table
@@ -141,17 +144,26 @@ class TestWTableAmortization:
             return real_build(*args, **kwargs)
 
         mergeable_iterations = []
-        real_divide = LDME.divide
 
-        def recording_divide(self, *args, **kwargs):
-            groups, stats = real_divide(self, *args, **kwargs)
-            mergeable_iterations.append(any(len(g) >= 2 for g in groups))
-            return groups, stats
+        def recording(real_divide):
+            def divide(self, *args, **kwargs):
+                groups, stats = real_divide(self, *args, **kwargs)
+                mergeable_iterations.append(any(len(g) >= 2 for g in groups))
+                return groups, stats
+            return divide
 
         monkeypatch.setattr(wtable, "build_w_table", counting_build)
-        monkeypatch.setattr(LDME, "divide", recording_divide)
-        result = LDME(k=5, iterations=3, seed=0).summarize(graph)
-        assert len(mergeable_iterations) == 3
-        assert sum(mergeable_iterations) > 0
-        assert len(builds) == sum(mergeable_iterations)
-        assert result.num_supernodes < graph.num_nodes
+        for cls in (LDME, SWeG):
+            monkeypatch.setattr(cls, "divide", recording(cls.divide))
+        for algo in (
+            LDME(k=5, iterations=3, seed=0),
+            LDME(k=5, iterations=3, seed=0, merge_policy="superjaccard"),
+            SWeG(iterations=3, seed=0),
+        ):
+            builds.clear()
+            mergeable_iterations.clear()
+            result = algo.summarize(graph)
+            assert len(mergeable_iterations) == 3
+            assert sum(mergeable_iterations) > 0
+            assert len(builds) == sum(mergeable_iterations)
+            assert result.num_supernodes < graph.num_nodes

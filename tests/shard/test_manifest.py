@@ -20,6 +20,7 @@ from repro.shard import (
     stitch_shards,
     summarize_sharded,
 )
+from repro.shard import stitch
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,18 @@ class TestRoundTrip:
         for sid, summary in summaries.items():
             assert summary.num_supernodes == \
                 manifest.entry(sid).num_supernodes
+
+    def test_stitched_lists_converted_once(self, stitched_run, tmp_path,
+                                           monkeypatch):
+        # One conversion of P, C+ and C- serves all three shard cuts.
+        sharded, stitched = stitched_run
+        calls = []
+        real = stitch.edge_array
+        monkeypatch.setattr(
+            stitch, "edge_array", lambda edges: calls.append(1) or real(edges)
+        )
+        save_sharded(stitched, sharded, tmp_path / "manifest")
+        assert len(calls) == 3
 
     def test_accepts_manifest_json_path(self, manifest_dir):
         direct = load_manifest(
